@@ -170,7 +170,10 @@ impl GcGateModel {
     /// The paper numeric profile: 43-bit ring, the paper's 15/7 fixed
     /// point, 32-bit GC words (15-bit values make 31-bit products;
     /// LayerNorm, whose variance accumulation needs more headroom, is
-    /// calibrated at the 48-bit protocol width).
+    /// calibrated at the 48-bit protocol width). The calibration width
+    /// does not reach GELU's activation, which always runs at the
+    /// spec-derived `gelu_width` (22 bits here); it only prices GELU's
+    /// share reconstruction and truncation.
     pub fn paper() -> Self {
         let ring = Ring::new(primer_he::HeParams::paper_8k().t());
         let spec = PipelineSpec::new(ring, FixedSpec::paper(), 12);

@@ -77,6 +77,18 @@ impl GcStepKind {
     }
 }
 
+/// Word width the GELU step computes at, derived from the spec.
+///
+/// The input is saturated to `bits` bits and lifted by
+/// `delta = gc_frac − frac`, so `|x| < 2^(bits−1+delta)`. The widest
+/// intermediate is the exponent `|1.702·x|·log2(e) < 2.46·|x|` inside
+/// `exp_neg`, which needs two more bits. GELU's input set is finite
+/// (`2^bits` values), and `tests/gelu_domain.rs` checks every one of
+/// them against `fxp::gelu` on the test and paper profiles.
+pub fn gelu_width(spec: &PipelineSpec) -> usize {
+    (spec.fixed.bits() + spec.gc_frac - spec.fixed.frac()) as usize + 2
+}
+
 /// Builds the step circuit. Garbler (client) inputs: primary shares,
 /// then optional residual shares, then fresh output masks. Evaluator
 /// (server) inputs: its matching shares. Outputs: the server's next-layer
@@ -126,16 +138,20 @@ pub fn build_step_circuit(kind: &GcStepKind, spec: &PipelineSpec, gc: GcNumCfg) 
                 relu(&mut b, &tr)
             })
             .collect(),
-        GcStepKind::Gelu { .. } => lifted
-            .iter()
-            .map(|v| {
-                let tr = trunc_sat(&mut b, v);
-                let up = b.shl_const(&tr, delta);
-                let g = gcnl::gelu(&mut b, gc, &up);
-                let down = b.shr_arith_const(&g, delta);
-                saturate(&mut b, &down, bits)
-            })
-            .collect(),
+        GcStepKind::Gelu { .. } => {
+            let narrow = GcNumCfg { width: gelu_width(spec), frac: gc.frac };
+            lifted
+                .iter()
+                .map(|v| {
+                    let tr = trunc_sat(&mut b, v);
+                    let tr = b.resize_signed(&tr, narrow.width);
+                    let up = b.shl_const(&tr, delta);
+                    let g = gcnl::gelu(&mut b, narrow, &up);
+                    let down = b.shr_arith_const(&g, delta);
+                    saturate(&mut b, &down, bits)
+                })
+                .collect()
+        }
         GcStepKind::Softmax { rows, cols, prescale } => {
             let shift = spec.gc_frac as i32 - 2 * spec.fixed.frac() as i32;
             let pre = b.const_word(*prescale, w);

@@ -212,33 +212,29 @@ impl CircuitBuilder {
         out
     }
 
-    /// Full signed multiplication: `a × b` at width `a.len()+b.len()`.
+    /// Low `out_w` bits of the signed product `a × b` (two's complement,
+    /// so `out_w = a.len() + b.len()` is the exact full product).
     ///
-    /// Shift-and-add over sign-extended operands; constant bits fold, so
-    /// multiplying by a constant only costs adders for its set bits.
-    pub fn mul_full_signed(&mut self, a: &Word, b: &Word) -> Word {
-        let out_w = a.len() + b.len();
+    /// Shift-and-add over `a` sign-extended to `out_w`. Partial-product
+    /// row `i` covers only bits `[i, out_w)`: its bits below `i` are zero
+    /// and nothing at or above `out_w` is kept. The top row is
+    /// subtracted. Constant bits fold, so multiplying by a constant only
+    /// costs adders for its set bits.
+    pub fn mul_low_signed(&mut self, a: &Word, b: &Word, out_w: usize) -> Word {
         let ax = self.resize_signed(a, out_w);
         let mut acc = self.const_word(0, out_w);
-        for (i, &bi) in b.iter().enumerate() {
-            // Partial product: (a << i) masked by b_i.
-            let mut shifted = vec![Bit::Const(false); i];
-            shifted.extend_from_slice(&ax[..out_w - i]);
-            let masked: Word = shifted.iter().map(|&x| self.and(bi, x)).collect();
-            if i + 1 == b.len() {
-                // Two's complement: the top partial product is subtracted.
-                acc = self.sub(&acc, &masked);
-            } else {
-                acc = self.add(&acc, &masked);
-            }
+        for (i, &bi) in b.iter().enumerate().take(out_w) {
+            let row: Word = ax[..out_w - i].iter().map(|&x| self.and(bi, x)).collect();
+            let hi = acc[i..].to_vec();
+            let sum = if i + 1 == b.len() { self.sub(&hi, &row) } else { self.add(&hi, &row) };
+            acc.splice(i.., sum);
         }
         acc
     }
 
     /// Wrapping signed multiplication at the operand width.
     pub fn mul(&mut self, a: &Word, b: &Word) -> Word {
-        let full = self.mul_full_signed(a, b);
-        full[..a.len()].to_vec()
+        self.mul_low_signed(a, b, a.len())
     }
 
     /// Unsigned `a < b`.
@@ -437,7 +433,7 @@ mod tests {
         let mut b = CircuitBuilder::new();
         let x = b.garbler_input(8);
         let y = b.evaluator_input(8);
-        let out = b.mul_full_signed(&x, &y);
+        let out = b.mul_low_signed(&x, &y, 16);
         let circuit = b.build(&out);
         for a in [-128i64, -77, -1, 0, 3, 127] {
             for c in [-128i64, -5, 0, 1, 99, 127] {

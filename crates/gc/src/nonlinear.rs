@@ -6,6 +6,10 @@
 //! is bit-exact against the plaintext fixed-point reference on the valid
 //! input domain (positive inputs for recip/rsqrt, `x ≥ 0` for exp_neg,
 //! magnitudes small enough not to overflow the configured width).
+//!
+//! [`mul_q`] itself has no domain: it builds only the product bits below
+//! `frac + width`, and its output is identical to `fxp::mul_q` wrapped to
+//! `width` for all inputs.
 
 use crate::arith::{max_signed, msb_index, shift_by_neg_signed};
 use crate::builder::{Bit, CircuitBuilder, Word};
@@ -40,9 +44,10 @@ impl GcNumCfg {
 
 /// `(a*b) >> frac` — fixed-point multiply matching `fxp::mul_q`.
 pub fn mul_q(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word, y: &Word) -> Word {
-    let full = b.mul_full_signed(x, y);
-    let shifted = b.shr_arith_const(&full, cfg.frac as usize);
-    shifted[..cfg.width].to_vec()
+    let frac = cfg.frac as usize;
+    // Output bits [frac, frac + width) depend only on product bits below
+    // frac + width, so nothing above them is built.
+    b.mul_low_signed(x, y, cfg.width + frac)[frac..].to_vec()
 }
 
 fn cq(b: &CircuitBuilder, cfg: GcNumCfg, v: f64) -> Word {
@@ -69,8 +74,9 @@ pub fn exp_neg(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
     let frac = cfg.frac as usize;
     let log2e = cq(b, cfg, std::f64::consts::LOG2_E);
     let y = mul_q(b, cfg, x, &log2e);
-    // Integer part k (unsigned; y ≥ 0 on the valid domain).
-    let k_full = b.shr_arith_const(&y, frac);
+    // Integer part k (unsigned; y ≥ 0 on the valid domain). The shifter
+    // only needs its low index bits; the underflow test below needs all.
+    let k_full = b.resize_unsigned(&y[frac..].to_vec(), (cfg.width - frac).max(cfg.index_bits()));
     let k = b.resize_unsigned(&k_full, cfg.index_bits());
     // Fractional part f ∈ [0, 1).
     let mut f: Word = y[..frac].to_vec();
@@ -82,8 +88,8 @@ pub fn exp_neg(b: &mut CircuitBuilder, cfg: GcNumCfg, x: &Word) -> Word {
     let m = b.shr_arith_const(&m_raw, 1);
     // Shift down by k; zero if k > frac + 1.
     let shifted = b.shr_arith_dyn(&m, &k);
-    let limit = b.const_word(frac as i64 + 1, cfg.index_bits());
-    let too_big = b.lt_unsigned(&limit, &k);
+    let limit = b.const_word(frac as i64 + 1, k_full.len());
+    let too_big = b.lt_unsigned(&limit, &k_full);
     let zero = b.const_word(0, cfg.width);
     b.mux_word(too_big, &zero, &shifted)
 }
@@ -275,6 +281,24 @@ mod tests {
         let inputs: Vec<i64> =
             [0.0f64, 0.1, 0.5, 1.0, 2.0, 3.7, 8.0, 15.0, 30.0].iter().map(|&x| q(x)).collect();
         check_unary(exp_neg, |v| fxp::exp_neg(v, CFG.frac), &inputs);
+    }
+
+    /// Exponents whose integer part is 128 or more must underflow to 0,
+    /// not wrap in the shifter's 7-bit shift amount.
+    #[test]
+    fn exp_neg_underflows_past_seven_bit_exponents() {
+        for width in [32usize, 48] {
+            let cfg = GcNumCfg { width, frac: CFG.frac };
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_input(width);
+            let out = exp_neg(&mut b, cfg, &x);
+            let c = b.build(&out);
+            for v in [88.8f64, 90.0, 95.0, 180.0] {
+                let xq = q(v);
+                let got = from_bits_signed(&c.eval_plain(&to_bits(xq, width), &[]));
+                assert_eq!(got, fxp::exp_neg(xq, cfg.frac), "exp_neg({v}) at width {width}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests: circuit gadgets vs integer semantics, and
 //! garbled evaluation vs plain evaluation.
 
-use primer_gc::builder::{from_bits_signed, to_bits, CircuitBuilder};
+use primer_gc::builder::{from_bits_signed, from_bits_unsigned, to_bits, CircuitBuilder};
 use primer_gc::garble::{evaluate, garble};
 use primer_math::rng::seeded;
 use proptest::prelude::*;
@@ -38,6 +38,56 @@ proptest! {
         prop_assert_eq!(from_bits_signed(&out[..width]), wrap(a + b, width));
         prop_assert_eq!(from_bits_signed(&out[width..2 * width]), wrap(a - b, width));
         prop_assert_eq!(from_bits_signed(&out[2 * width..]), wrap(a.wrapping_mul(b), width));
+    }
+
+    /// The truncated multiplier yields the low `out_w` bits of the
+    /// signed product, for random operand widths and every `out_w` up to
+    /// the full product width.
+    #[test]
+    fn truncated_multiplier_matches_i128_product(
+        a_w in 1usize..33,
+        b_w in 1usize..33,
+        a in i64::MIN..i64::MAX,
+        b in i64::MIN..i64::MAX,
+    ) {
+        let (a, b) = (wrap(a, a_w), wrap(b, b_w));
+        let mut bld = CircuitBuilder::new();
+        let x = bld.garbler_input(a_w);
+        let y = bld.evaluator_input(b_w);
+        let mut outs = Vec::new();
+        for out_w in 1..=a_w + b_w {
+            outs.extend(bld.mul_low_signed(&x, &y, out_w));
+        }
+        let c = bld.build(&outs);
+        let out = c.eval_plain(&to_bits(a, a_w), &to_bits(b, b_w));
+        let product = (a as i128 * b as i128) as u128;
+        let mut at = 0;
+        for out_w in 1..=a_w + b_w {
+            let got = from_bits_unsigned(&out[at..at + out_w]) as u128;
+            prop_assert_eq!(got, product & ((1u128 << out_w) - 1), "{}x{} low {} bits", a, b, out_w);
+            at += out_w;
+        }
+    }
+
+    /// The fixed-point multiply equals `fxp::mul_q` wrapped to the word
+    /// width on unrestricted inputs, not just on the valid domain.
+    #[test]
+    fn mul_q_matches_fxp_on_all_inputs(
+        width in 4usize..49,
+        frac in 1u32..17,
+        a in i64::MIN..i64::MAX,
+        b in i64::MIN..i64::MAX,
+    ) {
+        use primer_gc::nonlinear::{mul_q, GcNumCfg};
+        let cfg = GcNumCfg { width, frac };
+        let (a, b) = (wrap(a, width), wrap(b, width));
+        let mut bld = CircuitBuilder::new();
+        let x = bld.garbler_input(width);
+        let y = bld.evaluator_input(width);
+        let out = mul_q(&mut bld, cfg, &x, &y);
+        let c = bld.build(&out);
+        let got = from_bits_signed(&c.eval_plain(&to_bits(a, width), &to_bits(b, width)));
+        prop_assert_eq!(got, wrap(primer_math::fxp::mul_q(a, b, frac), width));
     }
 
     /// Garbled evaluation equals plain evaluation on a comparator+mux

@@ -2,13 +2,15 @@
 //!
 //! The paper's Fig. 4 garbles ReLU-style activations; BERT itself uses
 //! GELU. This ablation prices both (plus the bare truncation) in AND
-//! gates per element at several word widths — the design trade-off
+//! gates per element at several GC word widths — the design trade-off
 //! DESIGN.md calls out — and verifies both circuits against their
-//! fixed-point references.
+//! fixed-point references. The GC width only moves share reconstruction
+//! and truncation for GELU: the activation runs at its own word,
+//! derived from the pipeline spec (`gelu_width`).
 //!
 //! Run: `cargo run --release --example gelu_ablation`
 
-use primer::core::gcmod::{build_step_circuit, reference_step, GcStepKind};
+use primer::core::gcmod::{build_step_circuit, gelu_width, reference_step, GcStepKind};
 use primer::gc::builder::{from_bits_signed, to_bits};
 use primer::gc::GcNumCfg;
 use primer::math::{FixedSpec, Ring};
@@ -28,6 +30,12 @@ fn main() {
         let gelu = per_elem(&GcStepKind::Gelu { elems: 4 }, 4);
         println!("{:<10} {:>12} {:>12} {:>12}", width, trunc, relu, gelu);
     }
+    // The GC width sets where shares are reconstructed and truncated;
+    // the activation itself always runs at the spec-derived GELU width.
+    println!(
+        "GELU computes at its derived {}-bit word whatever the GC width (gelu_width)",
+        gelu_width(&spec)
+    );
 
     // Verify both activation circuits against the reference on a few
     // raw double-scale inputs.

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bench-json [--out BENCH_pr5.json] [--check BASELINE.json] [--tolerance 0.25]
-//!            [--pool 4] [--refills 2] [--threads 1,4] [--churn N] [--gate-only]
+//!            [--pool 4] [--refills 2] [--threads 1,4] [--gate-only]
 //! ```
 //!
 //! `--gate-only` skips measurement entirely and gates an existing
@@ -21,13 +21,6 @@
 //!   the thread pool), averaged over `--refills` refills;
 //! * **online** — one query consuming a pooled bundle, averaged over
 //!   `--pool × --refills` queries.
-//!
-//! With `--churn N`, a fourth row per thread count measures the serving
-//! plane itself: N concurrent one-query fpc clients churn over loopback
-//! TCP through the event-driven server's 4 worker slots, and the
-//! `serving-churn` record's `mean_ms` is wall-clock per concluded
-//! session (admission queueing included — the operator's number, not
-//! the protocol's).
 //!
 //! Phase boundaries are barriers, so a phase's time is "both parties
 //! ready" → "both parties done" — the number a serving operator would
@@ -51,7 +44,7 @@ use std::time::Instant;
 fn usage() -> ! {
     eprintln!(
         "usage: bench-json [--out PATH] [--check BASELINE] [--tolerance F] [--pool N] \
-         [--refills N] [--threads LIST] [--churn N] [--gate-only]"
+         [--refills N] [--threads LIST] [--gate-only]"
     );
     exit(2);
 }
@@ -143,40 +136,6 @@ fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
 
-/// Churns `n` concurrent one-query fpc clients over loopback TCP
-/// through the event-driven server (4 worker slots, unbounded queue)
-/// and returns wall-clock milliseconds per concluded session.
-fn run_churn(n: usize) -> f64 {
-    use primer_serve::{ClientBuilder, ServerBuilder, ServerConfig};
-    let mut config = ServerConfig::test_default(TransformerConfig::test_tiny());
-    config.max_workers = 4;
-    config.pool = 1;
-    let server =
-        ServerBuilder::from_config(config).bind("127.0.0.1:0").expect("bind churn server");
-    let addr = server.local_addr().expect("bound address");
-    let server = std::thread::spawn(move || server.serve_sessions(n));
-
-    let tokens: Vec<usize> = vec![11, 3, 27, 19];
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..n)
-        .map(|_| {
-            let tokens = tokens.clone();
-            std::thread::spawn(move || {
-                ClientBuilder::new(ProtocolVariant::Fpc)
-                    .run(addr, &[tokens])
-                    .expect("churn client")
-            })
-        })
-        .collect();
-    for c in clients {
-        c.join().expect("churn client thread");
-    }
-    let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let stats = server.join().expect("churn server thread");
-    assert_eq!(stats.sessions().len(), n, "every churned session must conclude");
-    total_ms / n as f64
-}
-
 /// Exact sample percentiles over a phase's per-iteration wall-clocks —
 /// `None` for single-sample phases, where a percentile is just the mean
 /// again and would only pad the artifact.
@@ -206,7 +165,6 @@ fn main() {
     let mut pool = 4usize;
     let mut refills = 2usize;
     let mut thread_counts = vec![1usize, 4];
-    let mut churn = 0usize;
     let mut gate_only = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -228,7 +186,6 @@ fn main() {
                     .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
                     .collect();
             }
-            "--churn" => churn = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--gate-only" => gate_only = true,
             "--help" | "-h" => usage(),
             other => {
@@ -330,23 +287,6 @@ fn main() {
                 p50_ms,
                 p95_ms,
                 p99_ms,
-                simd: Some(simd_tier.clone()),
-            });
-        }
-        if churn > 0 {
-            eprintln!("churning {churn} clients through the serving plane at {threads} thread(s)…");
-            records.push(BenchRecord {
-                bench: "serving-churn".into(),
-                variant: "fpc".into(),
-                threads,
-                mean_ms: run_churn(churn),
-                iters: churn,
-                rotations: None,
-                ntt: None,
-                mask_prep: None,
-                p50_ms: None,
-                p95_ms: None,
-                p99_ms: None,
                 simd: Some(simd_tier.clone()),
             });
         }

@@ -161,7 +161,7 @@ const WIRE_NTT_EQUIV: u64 = 8;
 
 /// Selects the triple packing for one FHGS product by comparing both
 /// modes in NTT-op units (the dominant per-ciphertext cost) plus a
-/// wire term ([`WIRE_NTT_EQUIV`] per shipped ciphertext): diagonal
+/// wire term (`WIRE_NTT_EQUIV` per shipped ciphertext): diagonal
 /// pays `D + 3` NTTs per rotation plus a mask prep per multiply;
 /// zero-rotation pays only encrypts, mask preps and decrypts, but on
 /// `⌈n·m·k / slots⌉` ciphertexts per flight. Small products (one

@@ -38,19 +38,17 @@ fn online_bytes(circuit: &Circuit) -> usize {
         + circuit.evaluator_inputs as usize * 32
 }
 
-/// Client (garbler) half of one step execution.
+/// Client (garbler) half of one step execution: the state its offline
+/// phase leaves for the online phase.
 #[derive(Debug)]
-pub struct GcClientStep {
-    mode: GcMode,
-    session: Option<GarblerSession>,
+pub enum GcClientStep {
+    /// Real garbling: the garbler session the online phase consumes.
+    Garbled(GarblerSession),
+    /// Plain evaluation behind placeholder traffic; nothing to keep.
+    Simulated,
 }
 
 impl GcClientStep {
-    /// An already-consumed placeholder (for take-and-replace patterns).
-    pub fn offline_noop() -> Self {
-        Self { mode: GcMode::Simulated, session: None }
-    }
-
     /// Offline phase: garble (or ship placeholder traffic).
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
@@ -61,12 +59,11 @@ impl GcClientStep {
     ) -> Self {
         match mode {
             GcMode::Garbled => {
-                let session = GarblerSession::offline(circuit, group, transport, rng);
-                Self { mode, session: Some(session) }
+                Self::Garbled(GarblerSession::offline(circuit, group, transport, rng))
             }
             GcMode::Simulated => {
                 crate::wire::send_placeholder(transport, offline_bytes(circuit));
-                Self { mode, session: None }
+                Self::Simulated
             }
         }
     }
@@ -74,11 +71,9 @@ impl GcClientStep {
     /// Online phase: provide the client's input bits.
     pub fn online(self, circuit: &Circuit, transport: &dyn Transport, bits: &[bool]) {
         assert_eq!(bits.len(), circuit.garbler_inputs as usize, "garbler input width");
-        match self.mode {
-            GcMode::Garbled => {
-                self.session.expect("offline ran").online(transport, bits);
-            }
-            GcMode::Simulated => {
+        match self {
+            Self::Garbled(session) => session.online(transport, bits),
+            Self::Simulated => {
                 let mut payload = pack_bools(bits);
                 // Pad to the real online label traffic.
                 payload.resize(payload.len() + online_bytes(circuit), 0);
@@ -88,19 +83,17 @@ impl GcClientStep {
     }
 }
 
-/// Server (evaluator) half of one step execution.
+/// Server (evaluator) half of one step execution: the state its offline
+/// phase leaves for the online phase.
 #[derive(Debug)]
-pub struct GcServerStep {
-    mode: GcMode,
-    session: Option<EvaluatorSession>,
+pub enum GcServerStep {
+    /// Real garbling: the evaluator session the online phase consumes.
+    Garbled(EvaluatorSession),
+    /// Plain evaluation behind placeholder traffic; nothing to keep.
+    Simulated,
 }
 
 impl GcServerStep {
-    /// An already-consumed placeholder (for take-and-replace patterns).
-    pub fn offline_noop() -> Self {
-        Self { mode: GcMode::Simulated, session: None }
-    }
-
     /// Offline phase.
     pub fn offline<R: Rng + ?Sized>(
         circuit: &Circuit,
@@ -111,12 +104,11 @@ impl GcServerStep {
     ) -> Self {
         match mode {
             GcMode::Garbled => {
-                let session = EvaluatorSession::offline(circuit, group, transport, rng);
-                Self { mode, session: Some(session) }
+                Self::Garbled(EvaluatorSession::offline(circuit, group, transport, rng))
             }
             GcMode::Simulated => {
                 let _ = transport.recv();
-                Self { mode, session: None }
+                Self::Simulated
             }
         }
     }
@@ -129,11 +121,9 @@ impl GcServerStep {
         bits: &[bool],
     ) -> Vec<bool> {
         assert_eq!(bits.len(), circuit.evaluator_inputs as usize, "evaluator input width");
-        match self.mode {
-            GcMode::Garbled => {
-                self.session.expect("offline ran").online(circuit, transport, bits)
-            }
-            GcMode::Simulated => {
+        match self {
+            Self::Garbled(session) => session.online(circuit, transport, bits),
+            Self::Simulated => {
                 let payload = transport.recv();
                 let g_bits =
                     unpack_bools(&payload, circuit.garbler_inputs as usize);

@@ -1,7 +1,7 @@
 //! Zero-rotation replicated column packing (ZeRo-MOAI style) for the
 //! encrypted-operand products FHGS runs online.
 //!
-//! The diagonal layouts in [`super::matmul`] minimize ciphertext count
+//! The diagonal layouts in `packing::matmul` minimize ciphertext count
 //! and pay for it with rotation chains. This layout spends *slots*
 //! instead: to multiply an encrypted `rows × cols` matrix `X` by a
 //! plaintext operand on the right, every row of `X` is replicated once

@@ -30,7 +30,7 @@ pub(crate) struct ClientCore {
     pub(crate) group: OtGroup,
 }
 
-/// Long-lived client session state: the shared [`ClientCore`] plus the
+/// Long-lived client session state: the shared `ClientCore` plus the
 /// mask rng and a pool of precomputed offline bundles.
 ///
 /// The Galois keys generated here are shipped to the server as real

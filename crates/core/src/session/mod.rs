@@ -14,7 +14,7 @@
 //!   server-side weight preparation.
 //! * **Offline** — per query but input-independent: HGS/FHGS/CHGS
 //!   precomputation and garbled-circuit material, produced into
-//!   [`offline::OfflinePool`]s of `k` bundles ahead of time.
+//!   bounded pools of `k` bundles ahead of time.
 //! * **Online** — consumes exactly one pooled offline bundle per query.
 //!
 //! [`Engine::run`] is a one-shot compatibility wrapper (a session that

@@ -129,7 +129,7 @@ impl<B> SharedPool<B> {
     }
 }
 
-/// A type-erased live view of one session's [`SharedPool`] depth, for
+/// A type-erased live view of one session's `SharedPool` depth, for
 /// the `/stats` admin surface: the serving layer holds these without
 /// seeing the crate-private bundle types behind them. Cheap to clone;
 /// reading is one mutex lock on the watched pool.

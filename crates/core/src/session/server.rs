@@ -82,7 +82,7 @@ pub(crate) struct ServerCore {
     pub(crate) plane: Arc<ModelPlane>,
 }
 
-/// Long-lived server session state: the shared [`ServerCore`] plus the
+/// Long-lived server session state: the shared `ServerCore` plus the
 /// evaluator (HE op counters), correction rng, offline pool and cost
 /// accounting.
 pub struct ServerSession {

@@ -109,7 +109,10 @@ pub struct ServerSuspendImage {
     pub(crate) setup_cost: PhaseCost,
     pub(crate) wire_mark: TrafficSnapshot,
     pub(crate) gk_bytes: Vec<u8>,
-    pub(crate) bundles: Vec<ServerBundle>,
+    /// Unconsumed bundles with their GC steps taken out, each paired
+    /// with its step count: simulated steps carry no state, so the
+    /// count is all that is parked.
+    pub(crate) bundles: Vec<(ServerBundle, usize)>,
 }
 
 impl ServerSuspendImage {
@@ -134,8 +137,8 @@ impl ServerSuspendImage {
         write_traffic(&mut out, &self.wire_mark);
         put_bytes(&mut out, &self.gk_bytes);
         put_u32(&mut out, self.bundles.len() as u32);
-        for b in &self.bundles {
-            write_bundle(&mut out, b);
+        for (b, gc_steps) in &self.bundles {
+            write_bundle(&mut out, b, *gc_steps);
         }
         out
     }
@@ -174,7 +177,8 @@ impl ServerSuspendImage {
     /// # Errors
     ///
     /// [`SuspendError::BadImage`] when the plane's variant does not
-    /// match the image's; [`SuspendError::Malformed`] when the stored
+    /// match the image's, or a bundle's GC step count is not
+    /// `circuits.len()`; [`SuspendError::Malformed`] when the stored
     /// Galois keys do not decode under `sys`.
     pub fn into_online(
         self,
@@ -184,6 +188,11 @@ impl ServerSuspendImage {
     ) -> Result<ServerOnline, SuspendError> {
         if plane.variant() != self.variant {
             return Err(SuspendError::BadImage("plane variant mismatch"));
+        }
+        // Checked before any step is rebuilt: a forged count must not
+        // size an allocation or leave a query short of steps.
+        if self.bundles.iter().any(|&(_, gc_steps)| gc_steps != circuits.len()) {
+            return Err(SuspendError::BadImage("gc step count differs from the circuits"));
         }
         let gk = GaloisKeys::from_bytes(&sys.he, &self.gk_bytes)?;
         let encoder = BatchEncoder::new(&sys.he);
@@ -201,7 +210,8 @@ impl ServerSuspendImage {
             plane,
         });
         let pool = Arc::new(SharedPool::new(self.bundles.len().max(1)));
-        for b in self.bundles {
+        for (mut b, gc_steps) in self.bundles {
+            b.gc = (0..gc_steps).map(|_| GcServerStep::Simulated).collect();
             pool.put_blocking(b);
         }
         // Closed: `take_blocking` yields the restored bundles then None,
@@ -224,8 +234,9 @@ pub(crate) fn suspend_server_online(
     // remaining booked bundle in the normal lockstep schedule, closes
     // the pool, and exits — after which `take_blocking` returns None.
     let mut bundles = Vec::new();
-    while let Some(b) = pool.take_blocking() {
-        bundles.push(b);
+    while let Some(mut b) = pool.take_blocking() {
+        let gc_steps = std::mem::take(&mut b.gc).len();
+        bundles.push((b, gc_steps));
     }
     Ok(ServerSuspendImage {
         variant: core.variant,
@@ -372,7 +383,7 @@ fn read_block(r: &mut Rdr, ctx: &HeContext) -> Result<BlockServerPre, HeError> {
     })
 }
 
-fn write_bundle(out: &mut Vec<u8>, b: &ServerBundle) {
+fn write_bundle(out: &mut Vec<u8>, b: &ServerBundle, gc_steps: usize) {
     write_matz_vec(out, &b.embed_rs);
     put_u32(out, b.bservers.len() as u32);
     for blk in &b.bservers {
@@ -382,29 +393,32 @@ fn write_bundle(out: &mut Vec<u8>, b: &ServerBundle) {
     // Simulated-mode GC steps carry no state beyond their count (the
     // placeholder exchange already happened offline); garbled steps
     // never reach here — `suspend_server_online` rejects them.
-    put_u32(out, b.gc.len() as u32);
+    put_u32(out, gc_steps as u32);
     write_steps(out, &b.steps);
     write_he(out, &b.he);
     write_traffic(out, &b.traffic);
 }
 
-fn read_bundle(r: &mut Rdr, ctx: &HeContext) -> Result<ServerBundle, HeError> {
+/// Reads one bundle and its GC step count (the steps themselves are
+/// rebuilt by [`ServerSuspendImage::into_online`] once the count is
+/// checked).
+fn read_bundle(r: &mut Rdr, ctx: &HeContext) -> Result<(ServerBundle, usize), HeError> {
     let embed_rs = read_matz_vec(r)?;
     let blocks = r.u32("block count")? as usize;
     let bservers =
         (0..blocks).map(|_| read_block(r, ctx)).collect::<Result<Vec<_>, _>>()?;
     let cls_rs = read_matz(r)?;
-    let gc_n = r.u32("gc count")? as usize;
-    let gc = (0..gc_n).map(|_| GcServerStep::offline_noop()).collect();
-    Ok(ServerBundle {
+    let gc_steps = r.u32("gc count")? as usize;
+    let bundle = ServerBundle {
         embed_rs,
         bservers,
         cls_rs,
-        gc,
+        gc: Vec::new(),
         steps: read_steps(r)?,
         he: read_he(r)?,
         traffic: read_traffic(r)?,
-    })
+    };
+    Ok((bundle, gc_steps))
 }
 
 #[cfg(test)]
@@ -542,6 +556,70 @@ mod tests {
             other => panic!("expected GarbledUnsupported, got {:?}", other.map(|_| ())),
         }
         client.join().expect("client thread");
+    }
+
+    /// Runs `SUSPEND_AT` queries of a pipelined session, suspends both
+    /// halves and returns the server image bytes with what resuming
+    /// them needs.
+    fn suspended_image(variant: ProtocolVariant) -> (SystemConfig, Arc<Vec<Circuit>>, Arc<ModelPlane>, Vec<u8>) {
+        let (sys, fixed, circuits, queries) = fixture(variant);
+        let plane = Arc::new(ModelPlane::build(&sys, variant, &fixed));
+        let (c_on, s_on, _) = MemTransport::pair();
+        let (c_off, s_off, _) = MemTransport::pair();
+        let client = {
+            let (sys, circuits) = (sys.clone(), Arc::clone(&circuits));
+            std::thread::spawn(move || {
+                let session = ClientSession::setup(
+                    sys, variant, GcMode::Simulated, fixed, circuits, 99, QUERIES, POOL, &c_on,
+                );
+                let (producer, mut online) = session.into_pipelined(POOL);
+                let producer = std::thread::spawn(move || producer.run(&c_off));
+                for q in &queries[..SUSPEND_AT] {
+                    online.infer(q, &c_on).expect("infer");
+                }
+                let _parked = online.suspend();
+                producer.join().expect("producer thread").expect("producer");
+            })
+        };
+        let session = ServerSession::setup_with_plane(
+            sys.clone(), variant, GcMode::Simulated, Arc::clone(&circuits),
+            Arc::clone(&plane), 40, QUERIES, POOL, &s_on,
+        ).expect("server setup");
+        let (producer, mut online) = session.into_pipelined(POOL);
+        let producer = std::thread::spawn(move || producer.run(&s_off));
+        for _ in 0..SUSPEND_AT {
+            online.serve_one(&s_on).expect("serve");
+        }
+        let image = online.suspend().expect("suspend");
+        producer.join().expect("producer thread").expect("producer");
+        client.join().expect("client thread");
+        (sys, circuits, plane, image.to_bytes())
+    }
+
+    #[test]
+    fn forged_gc_step_count_fails_resume_cleanly() {
+        let (sys, circuits, plane, bytes) = suspended_image(ProtocolVariant::F);
+        // The last bundle's GC step count sits right before its
+        // fixed-size tail (step costs, HE ops, traffic).
+        let mut tail = Vec::new();
+        write_steps(&mut tail, &StepBreakdown::new());
+        write_he(&mut tail, &OpCounts::default());
+        write_traffic(&mut tail, &TrafficSnapshot::default());
+        let at = bytes.len() - tail.len() - 4;
+        assert_eq!(bytes[at..at + 4], (circuits.len() as u32).to_le_bytes());
+        for forged in [circuits.len() as u32 - 1, u32::MAX] {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            let image = ServerSuspendImage::from_bytes(&sys.he, &patched).expect("decode");
+            match image.into_online(sys.clone(), Arc::clone(&circuits), Arc::clone(&plane)) {
+                Err(SuspendError::BadImage(_)) => {}
+                other => panic!("count {forged}: expected BadImage, got {:?}", other.map(|_| ())),
+            }
+        }
+        // The unpatched image still resumes.
+        let image = ServerSuspendImage::from_bytes(&sys.he, &bytes).expect("decode");
+        assert_eq!(image.remaining(), QUERIES - SUSPEND_AT);
+        image.into_online(sys, circuits, plane).expect("resume");
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl KskKey {
         self.digit_bits
     }
 
-    /// Wire size in bytes (matches [`KskKey::write_bytes`] exactly).
+    /// Wire size in bytes (matches `KskKey::write_bytes` exactly).
     pub fn serialized_size(&self) -> usize {
         2 + self
             .parts

@@ -67,7 +67,7 @@ impl Transformer {
         x
     }
 
-    /// Classification logits (first-token pooling, like BERT's [CLS]).
+    /// Classification logits (first-token pooling, like BERT's \[CLS\]).
     pub fn logits(&self, tokens: &[usize], mode: ActivationMode) -> Vec<f64> {
         let h = self.hidden_states(tokens, mode);
         let pooled = MatF::from_fn(1, self.cfg.d_model, |_, j| h[(0, j)]);

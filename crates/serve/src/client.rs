@@ -1,7 +1,7 @@
 //! The client side: connect, negotiate, run queries over a pipelined
 //! session, collect the server's summary.
 //!
-//! The v4 API is [`ClientBuilder`]: chainable configuration, one-shot
+//! The API is [`ClientBuilder`]: chainable configuration, one-shot
 //! runs ([`ClientBuilder::run`] / [`ClientBuilder::run_random`]), and
 //! an incremental [`SessionHandle`] that can [`suspend`] a session
 //! mid-batch — parking its unconsumed offline bundles client-side and
@@ -30,42 +30,6 @@ use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Everything a client run is configured with. Prefer [`ClientBuilder`]
-/// over filling this in by hand.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Protocol variant to request.
-    pub variant: ProtocolVariant,
-    /// GC execution mode to request.
-    pub mode: GcMode,
-    /// Offline pool bound to pipeline with.
-    pub pool: usize,
-    /// Client-side session seed (masks, keys, encryption randomness).
-    ///
-    /// **Privacy:** two sessions run from the same seed reuse the same
-    /// mask stream, so the server can difference their masked inputs
-    /// and learn how the private queries differ. The default is fresh
-    /// OS entropy per config; pin a seed only for reproducibility
-    /// experiments with non-sensitive inputs.
-    pub seed: u64,
-    /// Optional traffic shaping on the client's channels (one shared
-    /// link shaper covers all channels of the connection).
-    pub shape: Option<NetworkModel>,
-}
-
-impl ClientConfig {
-    /// Defaults: the full Primer variant, simulated GC, pool of 2, and
-    /// a fresh entropy-derived session seed (see [`ClientConfig::seed`]).
-    #[deprecated(note = "use `ClientBuilder::new(variant)` — the chainable v4 client API")]
-    pub fn new(variant: ProtocolVariant) -> Self {
-        defaults(variant)
-    }
-}
-
-fn defaults(variant: ProtocolVariant) -> ClientConfig {
-    ClientConfig { variant, mode: GcMode::Simulated, pool: 2, seed: entropy_seed(), shape: None }
-}
-
 /// A fresh unpredictable seed from OS entropy (`RandomState` hashes
 /// per-process random keys), without a dependency on an OS rng crate.
 fn entropy_seed() -> u64 {
@@ -75,7 +39,7 @@ fn entropy_seed() -> u64 {
     h.finish()
 }
 
-/// Chainable client constructor — the v4 client API.
+/// Chainable client constructor — the client API.
 ///
 /// ```no_run
 /// # use primer_serve::ClientBuilder;
@@ -87,43 +51,50 @@ fn entropy_seed() -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClientBuilder {
-    cfg: ClientConfig,
+    variant: ProtocolVariant,
+    mode: GcMode,
+    pool: usize,
+    seed: u64,
+    shape: Option<NetworkModel>,
 }
 
 impl ClientBuilder {
-    /// Starts from the defaults of [`ClientConfig`].
+    /// Starts from the defaults: simulated GC, a pool of 2, no traffic
+    /// shaping, and a fresh entropy-derived session seed (see
+    /// [`ClientBuilder::seed`]).
     pub fn new(variant: ProtocolVariant) -> Self {
-        Self { cfg: defaults(variant) }
-    }
-
-    /// Builds on an existing config (the deprecated positional API's
-    /// escape hatch).
-    pub fn from_config(cfg: ClientConfig) -> Self {
-        Self { cfg }
+        Self { variant, mode: GcMode::Simulated, pool: 2, seed: entropy_seed(), shape: None }
     }
 
     /// GC execution mode to request.
     pub fn mode(mut self, mode: GcMode) -> Self {
-        self.cfg.mode = mode;
+        self.mode = mode;
         self
     }
 
     /// Offline pool bound to pipeline with.
     pub fn pool(mut self, pool: usize) -> Self {
-        self.cfg.pool = pool;
+        self.pool = pool;
         self
     }
 
-    /// Pins the client session seed (see [`ClientConfig::seed`] for the
-    /// privacy caveat).
+    /// Pins the client session seed (masks, keys, encryption
+    /// randomness).
+    ///
+    /// **Privacy:** two sessions run from the same seed reuse the same
+    /// mask stream, so the server can difference their masked inputs
+    /// and learn how the private queries differ. The default is fresh
+    /// OS entropy per builder; pin a seed only for reproducibility
+    /// experiments with non-sensitive inputs.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
+        self.seed = seed;
         self
     }
 
-    /// Traffic shaping on the client's channels.
+    /// Traffic shaping on the client's channels (one shared link shaper
+    /// covers all channels of the connection).
     pub fn shape(mut self, shape: Option<NetworkModel>) -> Self {
-        self.cfg.shape = shape;
+        self.shape = shape;
         self
     }
 
@@ -180,7 +151,7 @@ impl ClientBuilder {
     /// busy server under a shedding policy.
     pub fn run_random<A: ToSocketAddrs>(&self, addr: A, n: usize) -> Result<RunOutcome, ClientError> {
         let mut handle = self.open(addr, n)?;
-        for q in sample_random_queries(handle.model(), self.cfg.seed, n) {
+        for q in sample_random_queries(handle.model(), self.seed, n) {
             handle.infer(&q)?;
         }
         handle.finish()
@@ -207,19 +178,18 @@ impl ClientBuilder {
         count: usize,
         check: impl FnOnce(&TransformerConfig) -> Result<(), ClientError>,
     ) -> Result<SessionHandle, ClientError> {
-        let cfg = &self.cfg;
         let mut conn = TcpConnection::connect(addr)?;
-        let shaper = cfg.shape.map(primer_net::LinkShaper::new);
+        let shaper = self.shape.map(primer_net::LinkShaper::new);
         let online_t = maybe_shaped(conn.take_channel(CH_ONLINE), shaper.as_ref());
         let offline_t = maybe_shaped(conn.take_channel(CH_OFFLINE), shaper.as_ref());
         let control = maybe_shaped(conn.take_channel(CH_CONTROL), shaper.as_ref());
 
         control.send(
             &ClientHello {
-                variant: cfg.variant,
-                mode: cfg.mode,
+                variant: self.variant,
+                mode: self.mode,
                 queries: count as u32,
-                pool: cfg.pool as u32,
+                pool: self.pool as u32,
                 resume: None,
             }
             .encode(),
@@ -240,15 +210,15 @@ impl ClientBuilder {
             system_for(welcome.profile, &model).map_err(|e| ClientError::Config(e.to_string()))?;
         let weights = TransformerWeights::random(&model, &mut seeded(welcome.weight_seed));
         let fixed = Arc::new(FixedTransformer::quantize(&model, &weights, sys.pipeline));
-        let circuits = Arc::new(build_session_circuits(&sys, cfg.variant, &fixed));
+        let circuits = Arc::new(build_session_circuits(&sys, self.variant, &fixed));
 
         let session = ClientSession::setup(
             sys,
-            cfg.variant,
-            cfg.mode,
+            self.variant,
+            self.mode,
             fixed,
             circuits,
-            cfg.seed,
+            self.seed,
             count,
             pool,
             &*online_t,
@@ -262,7 +232,7 @@ impl ClientBuilder {
             .expect("spawn offline producer");
 
         Ok(SessionHandle {
-            cfg: cfg.clone(),
+            cfg: self.clone(),
             session_id: welcome.session_id,
             model,
             online,
@@ -323,7 +293,7 @@ pub fn sample_random_queries(model: &TransformerConfig, seed: u64, n: usize) -> 
 /// [`SessionHandle::suspend`]; once every booked query ran,
 /// [`SessionHandle::finish`] collects the server's summary.
 pub struct SessionHandle {
-    cfg: ClientConfig,
+    cfg: ClientBuilder,
     session_id: u64,
     model: TransformerConfig,
     online: ClientOnline,
@@ -501,7 +471,7 @@ impl SessionHandle {
 pub struct SuspendedSession {
     token: u64,
     parked: SuspendedClientSession,
-    cfg: ClientConfig,
+    cfg: ClientBuilder,
     model: TransformerConfig,
     booked: usize,
     predictions: Vec<Prediction>,
@@ -696,37 +666,6 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// Connects to a server, negotiates a session and runs `queries`
-/// private inferences through it.
-///
-/// # Errors
-///
-/// [`ClientError`] on socket failures, handshake rejection, or a model
-/// the queries do not fit.
-#[deprecated(note = "use `ClientBuilder::new(variant)…run(addr, queries)`")]
-pub fn run_queries<A: ToSocketAddrs>(
-    addr: A,
-    cfg: &ClientConfig,
-    queries: &[Vec<usize>],
-) -> Result<RunOutcome, ClientError> {
-    ClientBuilder::from_config(cfg.clone()).run(addr, queries)
-}
-
-/// Like [`run_queries`], but samples `n` random token sequences from
-/// `cfg.seed` once the model shape is known.
-///
-/// # Errors
-///
-/// [`ClientError`] on socket failures or handshake rejection.
-#[deprecated(note = "use `ClientBuilder::new(variant)…run_random(addr, n)`")]
-pub fn run_random_queries<A: ToSocketAddrs>(
-    addr: A,
-    cfg: &ClientConfig,
-    n: usize,
-) -> Result<RunOutcome, ClientError> {
-    ClientBuilder::from_config(cfg.clone()).run_random(addr, n)
-}
-
 /// Polls a running server's live `/stats` surface: connects, sends one
 /// [`StatsRequest`] on the control channel and decodes the snapshot.
 /// The poll is answered by the event loop itself — it never occupies a
@@ -739,6 +678,6 @@ pub fn run_random_queries<A: ToSocketAddrs>(
 pub fn poll_stats<A: ToSocketAddrs>(addr: A) -> Result<StatsSnapshot, ClientError> {
     let mut conn = TcpConnection::connect(addr)?;
     let control = maybe_shaped(conn.take_channel(CH_CONTROL), None);
-    control.send(&StatsRequest::new().encode());
+    control.send(&StatsRequest.encode());
     Ok(StatsSnapshot::decode(&recv_handshake(&*control)?)?)
 }

@@ -22,6 +22,10 @@
 //!
 //! Encoding is the same dependency-free little-endian style the wire
 //! helpers use; strings are length-prefixed UTF-8.
+//!
+//! [`PROTOCOL_VERSION`] 4 is the only dialect this crate speaks or
+//! answers: a hello or stats poll carrying any other version gets a
+//! reasoned reject frame.
 
 use primer_core::{GcMode, ProtocolVariant};
 use primer_net::TrafficSnapshot;
@@ -43,11 +47,7 @@ use primer_nn::TransformerConfig;
 /// answer a hello with a typed **busy** frame instead of queueing it
 /// forever (admission control / load shedding), mid-session control
 /// frames negotiate suspension ([`SuspendRequest`] / [`SuspendReply`]),
-/// and the stats snapshot grows shed/suspend/eviction counters. v3
-/// *pollers* stay supported: [`StatsRequest::decode`] accepts both
-/// versions and the server answers a v3 poll with the v3 field set —
-/// post-v3 session states downgraded to their closest v3 code, the new
-/// trailing counters omitted.
+/// and the stats snapshot grows shed/suspend/eviction counters.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Magic prefix of every hello frame.
@@ -603,41 +603,24 @@ pub fn is_stats_frame(bytes: &[u8]) -> bool {
 /// in place of a [`ClientHello`]. The server answers with one
 /// [`StatsSnapshot`] frame and closes; the poll never acquires a
 /// session worker slot and never counts toward a bounded accept run.
-///
-/// The poll carries the poller's protocol version; the server accepts
-/// v3 **and** v4 polls and answers each in its own dialect
-/// ([`StatsSnapshot::encode_for`]), so pre-redesign monitoring keeps
-/// working unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsRequest {
-    /// Protocol version the poller speaks (3 or 4).
-    pub version: u32,
-}
-
-/// Oldest stats-poll dialect the server still answers.
-pub const STATS_MIN_VERSION: u32 = 3;
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StatsRequest;
 
 impl StatsRequest {
-    /// A poll at the current protocol version.
-    pub fn new() -> Self {
-        Self { version: PROTOCOL_VERSION }
-    }
-
     /// Encodes the poll frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&STATS_MAGIC);
-        put_u32(&mut out, self.version);
+        put_u32(&mut out, PROTOCOL_VERSION);
         out
     }
 
-    /// Decodes a poll frame, accepting any dialect in
-    /// [`STATS_MIN_VERSION`]`..=`[`PROTOCOL_VERSION`].
+    /// Decodes a poll frame.
     ///
     /// # Errors
     ///
-    /// [`ProtoError`] on truncation, bad magic or an unsupported
-    /// version.
+    /// [`ProtoError`] on truncation, bad magic or a version other than
+    /// [`PROTOCOL_VERSION`].
     pub fn decode(bytes: &[u8]) -> Result<Self, ProtoError> {
         let mut c = Cursor::new(bytes);
         let mut magic = [0u8; 4];
@@ -646,16 +629,10 @@ impl StatsRequest {
             return Err(ProtoError::BadMagic);
         }
         let version = c.u32()?;
-        if !(STATS_MIN_VERSION..=PROTOCOL_VERSION).contains(&version) {
+        if version != PROTOCOL_VERSION {
             return Err(ProtoError::VersionMismatch { theirs: version });
         }
-        Ok(Self { version })
-    }
-}
-
-impl Default for StatsRequest {
-    fn default() -> Self {
-        Self::new()
+        Ok(Self)
     }
 }
 
@@ -672,10 +649,10 @@ pub enum SessionState {
     Completed,
     /// Failed partway (protocol error, timeout, worker panic).
     Failed,
-    /// Setup done, offline pipeline spinning up (v4; first query not
-    /// yet served).
+    /// Setup done, offline pipeline spinning up (first query not yet
+    /// served).
     Offline,
-    /// Parked on disk between queries (v4); resumable by token.
+    /// Parked on disk between queries; resumable by token.
     Suspended,
 }
 
@@ -688,18 +665,6 @@ pub(crate) fn state_code(s: SessionState) -> u8 {
         SessionState::Failed => 4,
         SessionState::Offline => 5,
         SessionState::Suspended => 6,
-    }
-}
-
-/// The closest v3 code for each state — what a v3 poller is told.
-/// `Offline` reads as serving (the session holds a worker and is making
-/// progress); `Suspended` reads as completed (no worker, no further
-/// wire activity unless resumed).
-pub(crate) fn state_code_v3(s: SessionState) -> u8 {
-    match s {
-        SessionState::Offline => state_code(SessionState::Serving),
-        SessionState::Suspended => state_code(SessionState::Completed),
-        other => state_code(other),
     }
 }
 
@@ -778,12 +743,8 @@ pub struct PhaseStat {
 /// cumulative since server start (completed sessions keep counting);
 /// gauges and per-session lines are instantaneous.
 ///
-/// Fields are private as of v4 — construct with
-/// [`StatsSnapshot::builder`], read through the getters. The wire
-/// layout stays v3-compatible: the v4 additions (shed / suspend /
-/// eviction counters) ride as a trailing extension that
-/// [`StatsSnapshot::decode`] treats as optional, and
-/// [`StatsSnapshot::encode_for`] omits for v3 pollers.
+/// Fields are private — construct with [`StatsSnapshot::builder`],
+/// read through the getters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     workers_active: u64,
@@ -797,7 +758,6 @@ pub struct StatsSnapshot {
     he_ops: Vec<(String, u64)>,
     phases: Vec<(String, PhaseStat)>,
     channels: Vec<(String, TrafficSnapshot)>,
-    // v4 trailing extension.
     shed_total: u64,
     suspended: u64,
     resumed_total: u64,
@@ -959,17 +919,8 @@ impl StatsSnapshot {
         &self.channels
     }
 
-    /// Encodes the snapshot (status-OK) frame in the current dialect.
+    /// Encodes the snapshot (status-OK) frame.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for(PROTOCOL_VERSION)
-    }
-
-    /// Encodes the snapshot for a poller speaking `version`: a v3 frame
-    /// uses v3 session-state codes (post-v3 states downgraded) and omits
-    /// the trailing v4 counters, so pre-redesign pollers decode it
-    /// unchanged.
-    pub fn encode_for(&self, version: u32) -> Vec<u8> {
-        let v3 = version <= 3;
         let mut out = vec![STATUS_OK];
         for v in [
             self.workers_active,
@@ -986,7 +937,7 @@ impl StatsSnapshot {
         for s in &self.sessions {
             put_u64(&mut out, s.id);
             out.push(variant_code(s.variant));
-            out.push(if v3 { state_code_v3(s.state) } else { state_code(s.state) });
+            out.push(state_code(s.state));
             put_u64(&mut out, s.queries_done);
             put_u64(&mut out, s.queries_booked);
             put_u64(&mut out, s.pool_depth);
@@ -1011,10 +962,8 @@ impl StatsSnapshot {
                 put_u64(&mut out, v);
             }
         }
-        if !v3 {
-            for v in [self.shed_total, self.suspended, self.resumed_total, self.plane_evictions] {
-                put_u64(&mut out, v);
-            }
+        for v in [self.shed_total, self.suspended, self.resumed_total, self.plane_evictions] {
+            put_u64(&mut out, v);
         }
         out
     }
@@ -1096,12 +1045,6 @@ impl StatsSnapshot {
                 },
             ));
         }
-        // v4 trailing extension — absent in a v3-shaped frame, which
-        // decodes with the new counters zeroed.
-        let (shed_total, suspended, resumed_total, plane_evictions) = match c.u64() {
-            Ok(shed) => (shed, c.u64()?, c.u64()?, c.u64()?),
-            Err(_) => (0, 0, 0, 0),
-        };
         Ok(Self {
             workers_active,
             workers_cap,
@@ -1114,10 +1057,10 @@ impl StatsSnapshot {
             he_ops,
             phases,
             channels,
-            shed_total,
-            suspended,
-            resumed_total,
-            plane_evictions,
+            shed_total: c.u64()?,
+            suspended: c.u64()?,
+            resumed_total: c.u64()?,
+            plane_evictions: c.u64()?,
         })
     }
 
@@ -1286,9 +1229,9 @@ mod tests {
 
     #[test]
     fn stats_request_is_discriminated_from_hello() {
-        let req = StatsRequest::new().encode();
+        let req = StatsRequest.encode();
         assert!(is_stats_frame(&req));
-        assert_eq!(StatsRequest::decode(&req), Ok(StatsRequest::new()));
+        assert_eq!(StatsRequest::decode(&req), Ok(StatsRequest));
         let hello = ClientHello {
             variant: ProtocolVariant::Fp,
             mode: GcMode::Simulated,
@@ -1299,17 +1242,13 @@ mod tests {
         .encode();
         assert!(!is_stats_frame(&hello));
         assert!(!is_stats_frame(b"PR"));
-        // A v3 poll still decodes — the server answers in its dialect.
-        let v3 = StatsRequest { version: 3 };
-        assert_eq!(StatsRequest::decode(&v3.encode()), Ok(v3));
-        // Older than v3 decodes to a reasoned error, so the server can
-        // reject it instead of hanging up.
-        let mut old = req.clone();
-        old[4] = 2;
-        assert!(matches!(
-            StatsRequest::decode(&old),
-            Err(ProtoError::VersionMismatch { theirs: 2 })
-        ));
+        // Any other version decodes to a reasoned error, so the server
+        // can reject it instead of hanging up.
+        for theirs in [2u32, 3] {
+            let mut old = req.clone();
+            old[4..8].copy_from_slice(&theirs.to_le_bytes());
+            assert_eq!(StatsRequest::decode(&old), Err(ProtoError::VersionMismatch { theirs }));
+        }
     }
 
     fn sample_snapshot() -> StatsSnapshot {
@@ -1380,22 +1319,6 @@ mod tests {
         // Rejections carry the reason.
         let rej = StatsSnapshot::encode_reject("old poller");
         assert_eq!(StatsSnapshot::decode(&rej), Err(ProtoError::Rejected("old poller".into())));
-    }
-
-    #[test]
-    fn stats_snapshot_v3_dialect_downgrades() {
-        let snap = sample_snapshot();
-        let v3_frame = snap.encode_for(3);
-        // Shorter than the v4 frame by exactly the 4-counter tail.
-        assert_eq!(snap.encode().len(), v3_frame.len() + 32);
-        let got = StatsSnapshot::decode(&v3_frame).expect("v3 frame decodes");
-        // New counters absent → zeroed.
-        assert_eq!(got.shed_total(), 0);
-        assert_eq!(got.plane_evictions(), 0);
-        // Post-v3 states downgraded to their closest v3 code.
-        assert_eq!(got.sessions()[1].state, SessionState::Completed);
-        assert_eq!(got.sessions()[0].state, SessionState::Completed);
-        assert_eq!(got.workers_cap(), snap.workers_cap());
     }
 
     #[test]

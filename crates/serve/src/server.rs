@@ -66,8 +66,9 @@ pub enum ShedPolicy {
     },
 }
 
-/// Everything a server instance is configured with. Prefer
-/// [`Server::builder`] over filling this in by hand.
+/// Everything a server instance is configured with: fill one in
+/// (start from [`ServerConfig::test_default`]) and bind it with
+/// [`ServerBuilder::from_config`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The model every session serves.
@@ -129,18 +130,16 @@ impl ServerConfig {
     }
 }
 
-/// Chainable constructor for [`Server`] — the v4 serving API.
+/// Binds a [`Server`] from a [`ServerConfig`].
 ///
 /// ```no_run
-/// # use primer_serve::{Server, ShedPolicy};
+/// # use primer_serve::{ServerBuilder, ServerConfig, ShedPolicy};
 /// # use primer_nn::TransformerConfig;
-/// let server = Server::builder(TransformerConfig::test_tiny())
-///     .workers(4)
-///     .pool(2)
-///     .shed(ShedPolicy::Shed { max_waiting: 8 })
-///     .suspend_dir("/var/lib/primer/suspend")
-///     .bind("127.0.0.1:0")
-///     .expect("bind");
+/// let mut config = ServerConfig::test_default(TransformerConfig::test_tiny());
+/// config.max_workers = 4;
+/// config.shed = ShedPolicy::Shed { max_waiting: 8 };
+/// config.suspend_dir = Some("/var/lib/primer/suspend".into());
+/// let server = ServerBuilder::from_config(config).bind("127.0.0.1:0").expect("bind");
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerBuilder {
@@ -148,80 +147,9 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    fn new(model: TransformerConfig) -> Self {
-        Self { config: ServerConfig::test_default(model) }
-    }
-
-    /// Builds on an existing config (the deprecated positional API's
-    /// escape hatch).
+    /// Starts from a fully spelled-out config.
     pub fn from_config(config: ServerConfig) -> Self {
         Self { config }
-    }
-
-    /// Numeric profile (HE parameters, fixed format, OT group).
-    pub fn profile(mut self, profile: Profile) -> Self {
-        self.config.profile = profile;
-        self
-    }
-
-    /// Seed the deterministic model weights are drawn from.
-    pub fn weight_seed(mut self, seed: u64) -> Self {
-        self.config.weight_seed = seed;
-        self
-    }
-
-    /// Base seed for per-session server randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Concurrent session worker cap.
-    pub fn workers(mut self, cap: usize) -> Self {
-        self.config.max_workers = cap;
-        self
-    }
-
-    /// Per-session offline pool cap.
-    pub fn pool(mut self, pool: usize) -> Self {
-        self.config.pool = pool;
-        self
-    }
-
-    /// Upper bound on queries a single session may book.
-    pub fn max_queries_per_session(mut self, cap: usize) -> Self {
-        self.config.max_queries_per_session = cap;
-        self
-    }
-
-    /// Traffic shaping applied to every session's channels.
-    pub fn shape(mut self, shape: Option<NetworkModel>) -> Self {
-        self.config.shape = shape;
-        self
-    }
-
-    /// Admission control once every worker slot is taken.
-    pub fn shed(mut self, shed: ShedPolicy) -> Self {
-        self.config.shed = shed;
-        self
-    }
-
-    /// Enables session suspension, parking images under `dir`.
-    pub fn suspend_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config.suspend_dir = Some(dir.into());
-        self
-    }
-
-    /// Pre-admission hello deadline and Setup-exchange deadline.
-    pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.config.idle_timeout = timeout;
-        self
-    }
-
-    /// Prepared-plane cache bound (LRU beyond it).
-    pub fn plane_cache(mut self, capacity: usize) -> Self {
-        self.config.plane_cache = capacity;
-        self
     }
 
     /// Binds a listener and prepares the shared model state.
@@ -232,7 +160,46 @@ impl ServerBuilder {
     /// [`ServeError::Config`] when the model cannot be packed under the
     /// profile's HE parameters.
     pub fn bind<A: ToSocketAddrs>(self, addr: A) -> Result<Server, ServeError> {
-        Server::bind_config(addr, self.config)
+        let config = self.config;
+        let listener = TcpListener::bind(addr)?;
+        let sys =
+            system_for(config.profile, &config.model).map_err(|e| ServeError::Config(e.to_string()))?;
+        let weights = TransformerWeights::random(&config.model, &mut seeded(config.weight_seed));
+        let fixed = Arc::new(FixedTransformer::quantize(&config.model, &weights, sys.pipeline));
+        // Fresh session ids must stay above every parked token, or a new
+        // session could overwrite (or be confused with) a parked one.
+        let mut first_id = 0u64;
+        if let Some(dir) = &config.suspend_dir {
+            std::fs::create_dir_all(dir)?;
+            for entry in std::fs::read_dir(dir)? {
+                let entry = entry?;
+                if let Some(token) = entry.file_name().to_str().and_then(parse_file_name) {
+                    first_id = first_id.max(token + 1);
+                }
+            }
+        }
+        let registry = Registry::default();
+        let occupancy = registry.obs().gauge("workers.active");
+        let backlog = registry.obs().gauge("workers.backlog");
+        let shed = registry.obs().counter("serve.shed");
+        let resumed = registry.obs().counter("serve.resumed");
+        let planes = LruPlaneCache::new(config.plane_cache);
+        Ok(Server {
+            listener,
+            shared: Arc::new(ServerShared {
+                config,
+                sys,
+                fixed,
+                circuits: Mutex::new(HashMap::new()),
+                planes,
+                registry,
+                occupancy,
+                backlog,
+                shed,
+                resumed,
+                next_session_id: AtomicU64::new(first_id),
+            }),
+        })
     }
 }
 
@@ -271,67 +238,6 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts building a server for `model` (test-profile defaults).
-    pub fn builder(model: TransformerConfig) -> ServerBuilder {
-        ServerBuilder::new(model)
-    }
-
-    /// Binds a listener from a fully spelled-out config.
-    ///
-    /// # Errors
-    ///
-    /// Socket errors, or `InvalidInput` when the model cannot be packed
-    /// under the profile's HE parameters.
-    #[deprecated(note = "use `Server::builder(model)…bind(addr)` — it returns typed `ServeError`s")]
-    pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Self> {
-        Self::bind_config(addr, config).map_err(|e| match e {
-            ServeError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidInput, other.to_string()),
-        })
-    }
-
-    fn bind_config<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> Result<Self, ServeError> {
-        let listener = TcpListener::bind(addr)?;
-        let sys =
-            system_for(config.profile, &config.model).map_err(|e| ServeError::Config(e.to_string()))?;
-        let weights = TransformerWeights::random(&config.model, &mut seeded(config.weight_seed));
-        let fixed = Arc::new(FixedTransformer::quantize(&config.model, &weights, sys.pipeline));
-        // Fresh session ids must stay above every parked token, or a new
-        // session could overwrite (or be confused with) a parked one.
-        let mut first_id = 0u64;
-        if let Some(dir) = &config.suspend_dir {
-            std::fs::create_dir_all(dir)?;
-            for entry in std::fs::read_dir(dir)? {
-                let entry = entry?;
-                if let Some(token) = entry.file_name().to_str().and_then(parse_file_name) {
-                    first_id = first_id.max(token + 1);
-                }
-            }
-        }
-        let registry = Registry::default();
-        let occupancy = registry.obs().gauge("workers.active");
-        let backlog = registry.obs().gauge("workers.backlog");
-        let shed = registry.obs().counter("serve.shed");
-        let resumed = registry.obs().counter("serve.resumed");
-        let planes = LruPlaneCache::new(config.plane_cache);
-        Ok(Self {
-            listener,
-            shared: Arc::new(ServerShared {
-                config,
-                sys,
-                fixed,
-                circuits: Mutex::new(HashMap::new()),
-                planes,
-                registry,
-                occupancy,
-                backlog,
-                shed,
-                resumed,
-                next_session_id: AtomicU64::new(first_id),
-            }),
-        })
-    }
-
     /// The bound address (use with port 0 to serve on an OS-picked
     /// port).
     ///
@@ -489,12 +395,12 @@ impl<'a> EventLoop<'a> {
         }
         if crate::proto::is_stats_frame(frame) {
             let reply = match StatsRequest::decode(frame) {
-                Ok(req) => stats_snapshot(
+                Ok(StatsRequest) => stats_snapshot(
                     self.shared,
                     self.workers.len() as u64,
                     self.waiting.len() as u64,
                 )
-                .encode_for(req.version),
+                .encode(),
                 Err(e) => StatsSnapshot::encode_reject(&e.to_string()),
             };
             nb.queue_frame(CH_CONTROL as u8, &reply);

@@ -7,9 +7,14 @@
 mod common;
 
 use common::start_server;
-use primer_core::ProtocolVariant;
+use primer_core::{GcMode, ProtocolVariant};
+use primer_net::{TcpConnection, Transport};
 use primer_nn::TransformerConfig;
-use primer_serve::{poll_stats, ClientBuilder, SessionState};
+use primer_serve::{
+    poll_stats, ClientBuilder, ClientHello, ProtoError, ServerWelcome, SessionState, StatsRequest,
+    StatsSnapshot, CH_CONTROL,
+};
+use std::net::SocketAddr;
 
 /// The full poll lifecycle against a bounded server: an empty snapshot
 /// before any session, then a populated one after a completed session —
@@ -110,4 +115,54 @@ fn stats_polls_answer_mid_run_without_consuming_sessions() {
     assert_eq!(stats.sessions().len(), 2, "exactly the two real sessions were served");
     assert_eq!(stats.prepared().built, 1);
     assert_eq!(stats.prepared().reused, 1, "session B reused session A's plane");
+}
+
+/// Sends `frame` as a connection's first control frame and returns the
+/// server's one-frame answer.
+fn first_frame_exchange(addr: SocketAddr, frame: &[u8]) -> Vec<u8> {
+    let mut conn = TcpConnection::connect(addr).expect("connect");
+    let control = conn.take_channel(CH_CONTROL);
+    control.send(frame);
+    control.recv()
+}
+
+/// Overwrites the protocol version a control frame carries after its
+/// 4-byte magic.
+fn with_version(mut frame: Vec<u8>, version: u32) -> Vec<u8> {
+    frame[4..8].copy_from_slice(&version.to_le_bytes());
+    frame
+}
+
+/// v4 is the only stats dialect: a v3 poll gets a reasoned reject, and
+/// a v4 snapshot needs its whole 32-byte counter tail to decode.
+#[test]
+fn stats_polls_speak_only_v4() {
+    let (addr, server) = start_server(TransformerConfig::test_tiny(), 1, 1, 1);
+
+    let v3_poll = with_version(StatsRequest.encode(), 3);
+    match StatsSnapshot::decode(&first_frame_exchange(addr, &v3_poll)) {
+        Err(ProtoError::Rejected(reason)) => {
+            assert!(reason.contains("theirs 3"), "reject must name the version: {reason}")
+        }
+        other => panic!("v3 poll: expected a reasoned reject, got {other:?}"),
+    }
+
+    let frame = first_frame_exchange(addr, &StatsRequest.encode());
+    let snap = StatsSnapshot::decode(&frame).expect("v4 snapshot");
+    assert_eq!(snap.workers_cap(), 1);
+    assert_eq!(StatsSnapshot::decode(&frame[..frame.len() - 32]), Err(ProtoError::Truncated));
+
+    // A hello in a foreign version is a failed session attempt, which
+    // concludes the server's one-session run without any Setup work.
+    let hello = ClientHello {
+        variant: ProtocolVariant::F,
+        mode: GcMode::Simulated,
+        queries: 1,
+        pool: 1,
+        resume: None,
+    };
+    let reply = first_frame_exchange(addr, &with_version(hello.encode(), 3));
+    assert!(matches!(ServerWelcome::decode(&reply), Err(ProtoError::Rejected(_))));
+    let stats = server.join().expect("server thread");
+    assert!(stats.sessions().is_empty(), "no poll or rejected hello became a session");
 }

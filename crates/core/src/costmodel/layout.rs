@@ -20,12 +20,14 @@
 //! exact dedicated-key list at Setup ([`galois_steps`]) and the server
 //! reject a mismatched plan before any offline work starts.
 //!
-//! The `PRIMER_LAYOUT` environment variable overrides the selector:
-//! `auto` (default), `output`, `input`, `zerorot`. It is re-read on
-//! every call, so tests can sweep policies in-process. Forcing `input`
-//! on a profile whose noise budget cannot carry the chain (e.g. `toy`)
-//! is unsupported — decryption will be wrong; `auto` exists precisely
-//! to make that impossible.
+//! There is deliberately no override. The plan's inputs are the model
+//! and HE profile (which the serving welcome pins) and the protocol
+//! variant (which the hello pins), so two parties that completed a
+//! handshake cannot disagree on a layout, and nothing about it needs
+//! negotiating, caching by key or re-validating on resume. Every arm
+//! is still reachable: the selector picks each of them on some
+//! supported `(model, profile, variant)` (see the tests below and
+//! `tests/layout_equivalence.rs`).
 
 use crate::fhgs::{zr_layouts, FhgsDims, FhgsMode};
 use crate::packing::{
@@ -34,69 +36,6 @@ use crate::packing::{
 use crate::session::ProtocolVariant;
 use crate::system::SystemConfig;
 use primer_he::{HeParams, NoiseModel};
-
-/// The layout policy in force (the `PRIMER_LAYOUT` environment variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayoutPolicy {
-    /// Cost-model-driven per-matrix choice (the default).
-    Auto,
-    /// Force output-rotation chains and diagonal FHGS everywhere.
-    Output,
-    /// Force input-rotation chains on every tokens-first matmul
-    /// (diagnostic; unsupported on noise-tight profiles).
-    Input,
-    /// Force zero-rotation FHGS triples (chains stay output-rotation).
-    ZeroRot,
-}
-
-impl LayoutPolicy {
-    /// Parses a `PRIMER_LAYOUT` value. A typo'd layout silently falling
-    /// back to `auto` would invalidate whatever experiment set it, so
-    /// unknown values are a hard error — surfaced as a typed
-    /// [`crate::ConfigError`] at config assembly (session Setup), long
-    /// before any layout decision is made.
-    ///
-    /// # Errors
-    ///
-    /// The offending value, verbatim, on anything but
-    /// `auto|output|input|zerorot`.
-    pub fn parse(value: &str) -> Result<LayoutPolicy, String> {
-        match value {
-            "auto" => Ok(LayoutPolicy::Auto),
-            "output" => Ok(LayoutPolicy::Output),
-            "input" => Ok(LayoutPolicy::Input),
-            "zerorot" => Ok(LayoutPolicy::ZeroRot),
-            other => Err(other.to_string()),
-        }
-    }
-
-    /// Reads `PRIMER_LAYOUT` (re-evaluated per call; see the module
-    /// docs). Unset means `auto`.
-    ///
-    /// # Errors
-    ///
-    /// The unrecognised value (see [`LayoutPolicy::parse`]).
-    pub fn from_env() -> Result<LayoutPolicy, String> {
-        match std::env::var("PRIMER_LAYOUT") {
-            Err(_) => Ok(LayoutPolicy::Auto),
-            Ok(v) => Self::parse(&v),
-        }
-    }
-}
-
-/// Reads `PRIMER_LAYOUT` (re-evaluated per call; see the module docs).
-///
-/// # Panics
-///
-/// Panics on an unrecognised value. This is the backstop for callers
-/// that bypassed config assembly — [`crate::SystemConfig`] validates the
-/// variable with [`LayoutPolicy::from_env`] and rejects a typo as a
-/// typed [`crate::ConfigError`] before any session reaches this point.
-pub fn policy() -> LayoutPolicy {
-    LayoutPolicy::from_env().unwrap_or_else(|other| {
-        panic!("PRIMER_LAYOUT must be auto|output|input|zerorot, got {other:?}")
-    })
-}
 
 /// Whether the input-rotation chain for `Enc(X: rows × in_cols) · W
 /// (in_cols × out_cols)` is guaranteed to decrypt correctly on this
@@ -127,27 +66,16 @@ pub fn chain_mode(
     in_cols: usize,
     out_cols: usize,
 ) -> RotationMode {
-    if packing != Packing::TokensFirst {
+    if packing != Packing::TokensFirst || !input_mode_noise_safe(params, rows, in_cols, out_cols) {
         return RotationMode::Output;
     }
-    match policy() {
-        LayoutPolicy::Output | LayoutPolicy::ZeroRot => RotationMode::Output,
-        LayoutPolicy::Input => RotationMode::Input,
-        LayoutPolicy::Auto => {
-            if !input_mode_noise_safe(params, rows, in_cols, out_cols) {
-                return RotationMode::Output;
-            }
-            let simd = params.row_size();
-            let inp =
-                matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Input);
-            let out =
-                matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Output);
-            if inp.rotations < out.rotations {
-                RotationMode::Input
-            } else {
-                RotationMode::Output
-            }
-        }
+    let simd = params.row_size();
+    let inp = matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Input);
+    let out = matmul_counts_mode(packing, rows, in_cols, out_cols, simd, RotationMode::Output);
+    if inp.rotations < out.rotations {
+        RotationMode::Input
+    } else {
+        RotationMode::Output
     }
 }
 
@@ -168,11 +96,6 @@ const WIRE_NTT_EQUIV: u64 = 8;
 /// ciphertext per flight) go zero-rotation; paper-scale attention stays
 /// diagonal.
 pub fn fhgs_mode(params: &HeParams, packing: Packing, dims: FhgsDims) -> FhgsMode {
-    match policy() {
-        LayoutPolicy::ZeroRot => return FhgsMode::ZeroRotation,
-        LayoutPolicy::Output | LayoutPolicy::Input => return FhgsMode::Diagonal(packing),
-        LayoutPolicy::Auto => {}
-    }
     let d = NoiseModel::new(params).digit_total() as u64;
     let simd = params.row_size();
     // E1: Enc(R_a: n×k)·U_b (k×m); E2: Enc(R_bᵀ: m×k)·U_aᵀ (k×n).
@@ -227,8 +150,10 @@ fn chain_steps(
 
 /// Every weight-chain shape `(rows, in_cols, out_cols)` of a variant, in
 /// the canonical plane order (embed, combined, per-block QKV/WO/W1/W2,
-/// classifier) — mirrors `ModelPlane::prepare`.
-fn chain_shapes(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<(usize, usize, usize)> {
+/// classifier) — mirrors `ModelPlane::prepare`. Together with
+/// [`fhgs_shapes`] this enumerates every decision the selector makes
+/// for a session, which is how tests pin the plan per configuration.
+pub fn chain_shapes(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<(usize, usize, usize)> {
     let cfg = &sys.model;
     let n = cfg.n_tokens;
     let (d, dff) = (cfg.d_model, cfg.d_ff);
@@ -248,14 +173,14 @@ fn chain_shapes(sys: &SystemConfig, variant: ProtocolVariant) -> Vec<(usize, usi
 
 /// The two FHGS product shapes of a variant's attention (score, then
 /// attention×value) — identical across blocks and heads.
-fn fhgs_shapes(sys: &SystemConfig) -> [FhgsDims; 2] {
+pub fn fhgs_shapes(sys: &SystemConfig) -> [FhgsDims; 2] {
     let n = sys.model.n_tokens;
     let dh = sys.model.d_head();
     [FhgsDims { n, k: dh, m: n }, FhgsDims { n, k: n, m: dh }]
 }
 
-/// The **exact** Galois key list a session under this config, variant
-/// and layout policy requires: the union of every selected chain's
+/// The **exact** Galois key list a session under this config and
+/// variant requires: the union of every selected chain's
 /// steps plus the FHGS online chains' steps (none in zero-rotation
 /// mode). Client Setup generates dedicated keys for precisely this
 /// list; server Setup verifies it covers the plane (including hoisted
@@ -309,43 +234,37 @@ fn chain_steps_output(params: &HeParams, packing: Packing, rows: usize, in_cols:
     }
 }
 
-/// A compact identity of every layout choice the selector makes for
-/// `(config, variant)` under the current policy — one char per weight
-/// chain (`o`/`i`) plus one per FHGS shape (`d`/`z`). Serving caches
-/// key prepared planes by `(variant, fingerprint)` so a policy change
-/// between sessions can never hand out a stale plane.
-pub fn fingerprint(sys: &SystemConfig, variant: ProtocolVariant) -> String {
-    let params = sys.he.params();
-    let packing = variant.packing();
-    let mut out = String::new();
-    for (rows, in_cols, out_cols) in chain_shapes(sys, variant) {
-        out.push(match chain_mode(params, packing, rows, in_cols, out_cols) {
-            RotationMode::Output => 'o',
-            RotationMode::Input => 'i',
-        });
-    }
-    out.push('/');
-    if variant.has_offline_phase() {
-        for dims in fhgs_shapes(sys) {
-            out.push(match fhgs_mode(params, packing, dims) {
-                FhgsMode::Diagonal(_) => 'd',
-                FhgsMode::ZeroRotation => 'z',
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use primer_nn::TransformerConfig;
 
-    /// All layout decisions on the test profile, checked together in one
-    /// test because `PRIMER_LAYOUT` is process-global state.
+    /// The selector's whole plan for a session, one char per weight
+    /// chain (`o`utput / `i`nput rotation), then `/` and one char per
+    /// FHGS shape (`d`iagonal / `z`ero-rotation) for variants with an
+    /// offline phase.
+    fn plan(sys: &SystemConfig, variant: ProtocolVariant) -> String {
+        let params = sys.he.params();
+        let packing = variant.packing();
+        let mut out: String = chain_shapes(sys, variant)
+            .into_iter()
+            .map(|(rows, i, o)| match chain_mode(params, packing, rows, i, o) {
+                RotationMode::Output => 'o',
+                RotationMode::Input => 'i',
+            })
+            .collect();
+        if variant.has_offline_phase() {
+            out.push('/');
+            out.extend(fhgs_shapes(sys).into_iter().map(|dims| match fhgs_mode(params, packing, dims) {
+                FhgsMode::Diagonal(_) => 'd',
+                FhgsMode::ZeroRotation => 'z',
+            }));
+        }
+        out
+    }
+
     #[test]
     fn selector_decisions_on_test_profile() {
-        assert!(std::env::var("PRIMER_LAYOUT").is_err(), "env leaked into test");
         let sys = SystemConfig::test_profile(&TransformerConfig::test_tiny()).expect("profile");
         let params = sys.he.params();
 
@@ -396,10 +315,26 @@ mod tests {
             "plan must cover hoisted steps"
         );
 
-        // Fingerprints distinguish variants and mark the chosen modes.
-        let fp = fingerprint(&sys, ProtocolVariant::Fp);
-        assert!(fp.contains('i') && fp.contains('z'), "fp fingerprint {fp:?}");
-        let f = fingerprint(&sys, ProtocolVariant::F);
-        assert!(!f.contains('i'), "feature-based must stay output: {f:?}");
+        // What the selector picks on supported configurations that
+        // between them take every arm: tokens-first output and input
+        // chains, feature-based output chains (Base, F), diagonal and
+        // zero-rotation FHGS. A selector change that leaves an arm
+        // unreachable fails here, and the arm is then dead code.
+        use ProtocolVariant::{Base, Fp, Fpc, F};
+        let tiny = TransformerConfig::test_tiny();
+        let mix = TransformerConfig::new("layout-mix", 32, 1, 32, 1, 32, 3);
+        let test = |m: &TransformerConfig| SystemConfig::test_profile(m).expect("test profile");
+        let paper = SystemConfig::paper_profile(&tiny).expect("paper profile");
+        let table = [
+            (test(&tiny), Base, "oooooooo"),
+            (test(&tiny), F, "oooooooo/zz"),
+            (test(&tiny), Fp, "iiiiiiii/zz"),
+            (test(&tiny), Fpc, "iiiiiiii/zz"),
+            (paper, Fp, "oooooooo/zz"),
+            (test(&mix), Fp, "oooooioi/dd"),
+        ];
+        for (sys, variant, want) in &table {
+            assert_eq!(plan(sys, *variant), *want, "{} {variant:?}", sys.model.name);
+        }
     }
 }

@@ -38,9 +38,8 @@ pub use gcmod::{GcMode, GcStepKind};
 pub use packing::{matmul_counts, MatmulCounts, MatmulWeights, Packing, PreparedMatmul};
 pub use session::{
     build_session_circuits, ClientOnline, ClientProducer, ClientSession, Engine, ModelPlane,
-    OfflinePool, PoolWatch, ProtocolVariant, ServeRound, ServerOnline, ServerProducer,
-    ServerSession, ServerSuspendImage, SuspendError, SuspendedClientSession,
-    SUSPEND_FORMAT_VERSION,
+    PoolWatch, ProtocolVariant, ServeRound, ServerOnline, ServerProducer, ServerSession,
+    ServerSuspendImage, SuspendError, SuspendedClientSession, SUSPEND_FORMAT_VERSION,
 };
 pub use stats::{
     argmax_logits, InferenceReport, PhaseCost, PhaseTotals, StepBreakdown, StepCategory,

@@ -1,7 +1,7 @@
 //! The client side of a persistent two-party session.
 
 use super::offline::{produce_client_bundles, ClientBundle};
-use super::pool::{refill_quota, OfflinePool, SharedPool, SharedPoolGuard};
+use super::pool::{refill_quota, SharedPool, SharedPoolGuard, PRODUCER_ENDED};
 use super::{online, ProtocolVariant};
 use crate::gcmod::GcMode;
 use crate::system::SystemConfig;
@@ -12,6 +12,7 @@ use primer_math::rng::derive;
 use primer_net::Transport;
 use primer_nn::FixedTransformer;
 use rand::rngs::StdRng;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Everything Setup establishes once on the client, shareable between
@@ -39,7 +40,7 @@ pub(crate) struct ClientCore {
 pub struct ClientSession {
     core: Arc<ClientCore>,
     rng: StdRng,
-    pool: OfflinePool<ClientBundle>,
+    pool: VecDeque<ClientBundle>,
     pool_target: usize,
     total_queries: usize,
     produced: usize,
@@ -88,7 +89,7 @@ impl ClientSession {
                 group,
             }),
             rng,
-            pool: OfflinePool::new(),
+            pool: VecDeque::new(),
             pool_target: pool_target.max(1),
             total_queries,
             produced: 0,
@@ -115,7 +116,7 @@ impl ClientSession {
     /// lockstep), so callers fail the whole session.
     pub fn refill(&mut self, t: &dyn Transport, k: usize) -> Result<(), HeError> {
         for bundle in produce_client_bundles(&self.core, &mut self.rng, t, k)? {
-            self.pool.put(bundle);
+            self.pool.push_back(bundle);
             self.produced += 1;
         }
         Ok(())
@@ -133,7 +134,7 @@ impl ClientSession {
             let k = refill_quota(self.pool_target, self.total_queries, self.produced);
             self.refill(t, k)?;
         }
-        let bundle = self.pool.take().expect("pool refilled above");
+        let bundle = self.pool.pop_front().expect("pool refilled above");
         online::client_online(&self.core, bundle, tokens, t)
     }
 
@@ -219,17 +220,10 @@ impl ClientOnline {
     /// # Errors
     ///
     /// [`HeError::Malformed`] on a corrupt or truncated mid-session
-    /// flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the producer closed the pool before delivering enough
-    /// bundles (a producer crash, surfaced loudly here).
+    /// flight, or when the producer ended before delivering this
+    /// query's bundle (it failed; its own error surfaces at join).
     pub fn infer(&mut self, tokens: &[usize], t: &dyn Transport) -> Result<Vec<i64>, HeError> {
-        let bundle = self
-            .pool
-            .take_blocking()
-            .expect("offline producer died before delivering this query's bundle");
+        let bundle = self.pool.take_blocking().ok_or(PRODUCER_ENDED)?;
         online::client_online(&self.core, bundle, tokens, t)
     }
 

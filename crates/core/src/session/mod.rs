@@ -32,7 +32,7 @@ pub mod suspend;
 
 pub use client::{ClientOnline, ClientProducer, ClientSession, SuspendedClientSession};
 pub use plane::ModelPlane;
-pub use pool::{OfflinePool, PoolWatch};
+pub use pool::PoolWatch;
 pub use server::{ServeRound, ServerOnline, ServerProducer, ServerSession};
 pub use suspend::{ServerSuspendImage, SuspendError, SUSPEND_FORMAT_VERSION};
 
@@ -364,6 +364,35 @@ mod tests {
         let (qkv_off, _) = report.steps.get(StepCategory::Qkv);
         assert_eq!(embed_off.bytes, 0, "embed bytes must fold into QxK");
         assert_eq!(qkv_off.bytes, 0, "qkv bytes must fold into QxK");
+    }
+
+    /// An online half whose producer ended before delivering the
+    /// query's bundle (here: a session that booked no queries) returns
+    /// a typed error on both sides, never a panic in the caller's
+    /// thread.
+    #[test]
+    fn online_halves_fail_typed_when_the_producer_ended_early() {
+        let variant = ProtocolVariant::Fp;
+        let cfg = TransformerConfig::test_tiny();
+        let sys = SystemConfig::test_profile(&cfg).expect("profile");
+        let weights = TransformerWeights::random(&cfg, &mut seeded(400));
+        let fixed = Arc::new(FixedTransformer::quantize(&cfg, &weights, sys.pipeline));
+        let circuits = Arc::new(build_session_circuits(&sys, variant, &fixed));
+        let (ct, st, _meter) = primer_net::MemTransport::pair();
+        let (fixed_c, circuits_c) = (Arc::clone(&fixed), Arc::clone(&circuits));
+        let mode = GcMode::Simulated;
+        let client =
+            ClientSession::setup(sys.clone(), variant, mode, fixed_c, circuits_c, 401, 0, 1, &ct);
+        let server = ServerSession::setup(sys, variant, mode, fixed, circuits, 402, 0, 1, &st)
+            .expect("in-process key transfer");
+        let (client_producer, mut client_online) = client.into_pipelined(1);
+        let (server_producer, mut server_online) = server.into_pipelined(1);
+        client_producer.run(&ct).expect("nothing to produce");
+        server_producer.run(&st).expect("nothing to produce");
+        let err = client_online.infer(&[3, 17, 0, 29], &ct).expect_err("no bundle was produced");
+        assert_eq!(err, pool::PRODUCER_ENDED);
+        let err = server_online.serve_one(&st).err().expect("no bundle was produced");
+        assert_eq!(err, pool::PRODUCER_ENDED);
     }
 
     #[test]

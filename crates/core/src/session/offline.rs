@@ -4,9 +4,9 @@
 //! One **bundle** holds everything a single inference consumes beyond
 //! the session state: the client's masks and HGS/FHGS/CHGS shares, the
 //! server's correction masks and encrypted FHGS triples, and the garbled
-//! sessions for every GC step. Bundles are *moved* out of an
-//! [`super::OfflinePool`] — a consumed bundle (and with it its one-time masks)
-//! can never be silently reused.
+//! sessions for every GC step. Bundles are *moved* out of their pool —
+//! a consumed bundle (and with it its one-time masks) can never be
+//! silently reused.
 //!
 //! # Parallel refills (DESIGN.md §9)
 //!

@@ -1,47 +1,20 @@
-//! Bundle pooling: FIFO pools of precomputed offline material, the
-//! lockstep refill schedule both parties share, and the bounded
-//! blocking pool the pipelined (producer-thread) serving mode hands
-//! bundles through.
+//! Bundle pooling: the lockstep refill schedule both parties share, and
+//! the bounded blocking pool the pipelined (producer-thread) serving
+//! mode hands bundles through. (A sequential session pools its bundles
+//! in a plain `VecDeque`; they leave it by move, so each bundle's masks
+//! are consumed exactly once.)
 
+use primer_he::HeError;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// A FIFO pool of precomputed offline bundles.
-///
-/// Bundles leave the pool by move ([`OfflinePool::take`]), so the masks
-/// they carry are consumed exactly once; an empty pool yields `None`
-/// and must be explicitly refilled by the owning session.
-#[derive(Debug, Default)]
-pub struct OfflinePool<B> {
-    bundles: VecDeque<B>,
-}
-
-impl<B> OfflinePool<B> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self { bundles: VecDeque::new() }
-    }
-
-    /// Number of unconsumed bundles.
-    pub fn len(&self) -> usize {
-        self.bundles.len()
-    }
-
-    /// Whether the pool has no bundles left.
-    pub fn is_empty(&self) -> bool {
-        self.bundles.is_empty()
-    }
-
-    /// Adds a freshly produced bundle.
-    pub fn put(&mut self, bundle: B) {
-        self.bundles.push_back(bundle);
-    }
-
-    /// Takes the oldest bundle, or `None` if the pool is drained.
-    pub fn take(&mut self) -> Option<B> {
-        self.bundles.pop_front()
-    }
-}
+/// What an online half returns when its producer closed the pool before
+/// delivering the query's bundle: the stream of offline material ended
+/// short. The producer's own error (a malformed flight, or a panic)
+/// surfaces when its thread is joined; the online caller gets this
+/// typed error instead of a panic in its own thread.
+pub(crate) const PRODUCER_ENDED: HeError =
+    HeError::Malformed { what: "offline bundle stream (producer ended before this query's bundle)" };
 
 /// A bounded, blocking FIFO pool shared between an offline-producer
 /// thread and an online consumer thread (the pipelined serving mode).
@@ -166,8 +139,9 @@ impl std::fmt::Debug for PoolWatch {
 }
 
 /// Closes a [`SharedPool`] on drop — held by the producer's run loop so
-/// a producer panic unblocks the consumer (which then fails loudly on
-/// the missing bundle) instead of deadlocking the session.
+/// a producer panic unblocks the consumer (which then returns
+/// [`PRODUCER_ENDED`] for the missing bundle) instead of deadlocking the
+/// session.
 pub(crate) struct SharedPoolGuard<'a, B>(pub &'a SharedPool<B>);
 
 impl<B> Drop for SharedPoolGuard<'_, B> {
@@ -187,24 +161,6 @@ pub(crate) fn refill_quota(pool_target: usize, total_queries: usize, produced: u
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_drains_by_move_and_refuses_silent_reuse() {
-        let mut pool: OfflinePool<Vec<u8>> = OfflinePool::new();
-        assert!(pool.is_empty());
-        pool.put(vec![1]);
-        pool.put(vec![2]);
-        assert_eq!(pool.len(), 2);
-        // FIFO: the oldest bundle is consumed first, by move.
-        assert_eq!(pool.take(), Some(vec![1]));
-        assert_eq!(pool.take(), Some(vec![2]));
-        // Drained: takes fail loudly rather than re-serving a bundle.
-        assert_eq!(pool.take(), None);
-        assert!(pool.is_empty());
-        // Refill works after a drain.
-        pool.put(vec![3]);
-        assert_eq!(pool.take(), Some(vec![3]));
-    }
 
     #[test]
     fn shared_pool_bounds_the_producer_and_closes_cleanly() {

@@ -2,7 +2,7 @@
 
 use super::offline::{produce_server_bundles, ServerBundle};
 use super::plane::ModelPlane;
-use super::pool::{refill_quota, OfflinePool, PoolWatch, SharedPool, SharedPoolGuard};
+use super::pool::{refill_quota, PoolWatch, SharedPool, SharedPoolGuard, PRODUCER_ENDED};
 use super::{online, ProtocolVariant};
 use crate::gcmod::GcMode;
 use crate::stats::{PhaseCost, StepBreakdown};
@@ -14,6 +14,7 @@ use primer_math::MatZ;
 use primer_net::{MeteredTransport, TrafficSnapshot};
 use primer_nn::FixedTransformer;
 use rand::rngs::StdRng;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,7 +90,7 @@ pub struct ServerSession {
     core: Arc<ServerCore>,
     eval: Evaluator,
     rng: StdRng,
-    pool: OfflinePool<ServerBundle>,
+    pool: VecDeque<ServerBundle>,
     pool_target: usize,
     total_queries: usize,
     produced: usize,
@@ -232,7 +233,7 @@ impl ServerSession {
             }),
             eval,
             rng,
-            pool: OfflinePool::new(),
+            pool: VecDeque::new(),
             pool_target: pool_target.max(1),
             total_queries,
             produced: 0,
@@ -272,7 +273,7 @@ impl ServerSession {
             k,
         )?;
         for bundle in bundles {
-            self.pool.put(bundle);
+            self.pool.push_back(bundle);
             self.produced += 1;
         }
         Ok(())
@@ -291,7 +292,7 @@ impl ServerSession {
             let k = refill_quota(self.pool_target, self.total_queries, self.produced);
             self.refill(t, k)?;
         }
-        let bundle = self.pool.take().expect("pool refilled above");
+        let bundle = self.pool.pop_front().expect("pool refilled above");
         serve_round(&self.core, &self.eval, bundle, self.setup_cost, t, &mut self.wire_mark)
     }
 
@@ -449,17 +450,10 @@ impl ServerOnline {
     /// # Errors
     ///
     /// [`HeError::Malformed`] on a corrupt or truncated mid-session
-    /// flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the producer closed the pool before delivering enough
-    /// bundles (a producer crash, surfaced loudly here).
+    /// flight, or when the producer ended before delivering this
+    /// query's bundle (it failed; its own error surfaces at join).
     pub fn serve_one(&mut self, t: &dyn MeteredTransport) -> Result<ServeRound, HeError> {
-        let bundle = self
-            .pool
-            .take_blocking()
-            .expect("offline producer died before delivering this query's bundle");
+        let bundle = self.pool.take_blocking().ok_or(PRODUCER_ENDED)?;
         serve_round(&self.core, &self.eval, bundle, self.setup_cost, t, &mut self.wire_mark)
     }
 

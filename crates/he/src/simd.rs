@@ -42,9 +42,9 @@
 //! `PRIMER_THREADS`, so tests can flip it in-process). The variable is a
 //! [`SimdPolicy`]: `scalar|avx2|avx512|auto` (plus the legacy `0`/`off`
 //! for scalar and `1`/`on` for auto), and a typo is a **typed error** at
-//! config assembly — `SystemConfig` validates it the way it validates
-//! `PRIMER_LAYOUT`, so `PRIMER_SIMD=axv512` fails Setup instead of
-//! silently running some other tier. A *valid* request that exceeds what
+//! config assembly — `SystemConfig` validates it once, so
+//! `PRIMER_SIMD=axv512` fails Setup instead of silently running some
+//! other tier. A *valid* request that exceeds what
 //! the CPU offers degrades to the best supported tier (never UB):
 //! `avx512` on an AVX2-only host runs the AVX2 kernels, `avx2` on a
 //! non-x86 host runs scalar. Every entry point re-checks CPU support
@@ -89,10 +89,12 @@ impl SimdLevel {
 /// The parsed `PRIMER_SIMD` policy: what the operator *asked for*, before
 /// CPU capability clamps it to a [`SimdLevel`].
 ///
-/// Mirrors `PRIMER_LAYOUT`'s [`parse`](SimdPolicy::parse)/`from_env`
-/// split: unknown values are a hard error surfaced as a typed
-/// `ConfigError` at config assembly, because a typo silently selecting a
-/// different tier would invalidate whatever experiment set it.
+/// Split into [`parse`](SimdPolicy::parse) and `from_env` so config
+/// assembly can validate the variable once: unknown values are a hard
+/// error surfaced as a typed `ConfigError`, because a typo silently
+/// selecting a different tier would invalidate whatever experiment set
+/// it. Unlike a layout, the tier is local to one process — every tier
+/// is bit-identical, so the two parties may run different ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdPolicy {
     /// Best tier the CPU supports (the default).

@@ -1,16 +1,17 @@
 //! LRU cache for prepared-weights planes.
 //!
-//! The pre-v4 server cached every plane it ever built, forever — fine
-//! for one model × four variants, but the resident NTT-form masks are
-//! the server's largest steady-state allocation, and a long-lived
-//! server cycling through variants (or layout policies, which change
-//! the cache key's fingerprint) would pin every plane it ever touched.
-//! This cache bounds residency: entries are kept in recency order and
-//! the least-recently-used **initialized** plane is dropped when the
-//! bound is exceeded. Evictions are observable (`/stats` reports an
-//! eviction counter and the resident-mask gauge shrinks), and an
-//! evicted plane simply rebuilds on next use — correctness never
-//! depends on residency.
+//! The pre-v4 server cached every plane it ever built, forever. The
+//! resident NTT-form masks are the server's largest steady-state
+//! allocation, so this cache bounds residency: entries are kept in
+//! recency order and the least-recently-used **initialized** plane is
+//! dropped when the bound is exceeded. Evictions are observable
+//! (`/stats` reports an eviction counter and the resident-mask gauge
+//! shrinks), and an evicted plane simply rebuilds on next use —
+//! correctness never depends on residency.
+//!
+//! One server serves one model under one profile, and the layout
+//! selector is a pure function of `(model, profile, variant)`, so the
+//! variant alone identifies a plane.
 
 use primer_core::ModelPlane;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -20,12 +21,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// so one plane's encode never blocks another key's sessions.
 pub(crate) type PlaneCell = Arc<OnceLock<Arc<ModelPlane>>>;
 
-/// Cache key: `(variant code, layout fingerprint)`. One server serves
-/// one model, and the fingerprint covers every per-matrix mode the
-/// layout selector picked, so a `PRIMER_LAYOUT` policy change between
-/// sessions can never hand a session a plane whose masks were built for
-/// different chains.
-pub(crate) type PlaneKey = (u8, String);
+/// Cache key: the variant code (see the module docs for why that is
+/// enough).
+pub(crate) type PlaneKey = u8;
 
 struct Entry {
     key: PlaneKey,
@@ -36,8 +34,8 @@ struct Entry {
 pub(crate) struct LruPlaneCache {
     capacity: usize,
     /// MRU at the front. A Vec beats a linked structure here: the cache
-    /// holds a handful of entries (variants × layout policies), so
-    /// moves are cheap and iteration order is the recency order.
+    /// holds at most one entry per variant, so moves are cheap and
+    /// iteration order is the recency order.
     entries: Mutex<Vec<Entry>>,
 }
 
@@ -56,9 +54,9 @@ impl LruPlaneCache {
     /// several distinct planes build concurrently, and trims on a later
     /// touch. The requested key is likewise never evicted, so capacity 1
     /// still serves.
-    pub fn touch(&self, key: &PlaneKey) -> (PlaneCell, Vec<Arc<ModelPlane>>) {
+    pub fn touch(&self, key: PlaneKey) -> (PlaneCell, Vec<Arc<ModelPlane>>) {
         let mut entries = self.entries.lock().expect("plane cache mutex poisoned");
-        let cell = match entries.iter().position(|e| &e.key == key) {
+        let cell = match entries.iter().position(|e| e.key == key) {
             Some(i) => {
                 let e = entries.remove(i);
                 let cell = Arc::clone(&e.cell);
@@ -67,7 +65,7 @@ impl LruPlaneCache {
             }
             None => {
                 let cell: PlaneCell = Arc::default();
-                entries.insert(0, Entry { key: key.clone(), cell: Arc::clone(&cell) });
+                entries.insert(0, Entry { key, cell: Arc::clone(&cell) });
                 cell
             }
         };
@@ -75,7 +73,7 @@ impl LruPlaneCache {
         while entries.len() > self.capacity {
             let victim = entries
                 .iter()
-                .rposition(|e| &e.key != key && e.cell.get().is_some());
+                .rposition(|e| e.key != key && e.cell.get().is_some());
             match victim {
                 Some(i) => {
                     let e = entries.remove(i);
@@ -97,19 +95,15 @@ impl LruPlaneCache {
 mod tests {
     use super::*;
 
-    fn key(v: u8) -> PlaneKey {
-        (v, "fp".into())
-    }
-
     // Planes are expensive to build, so the unit tests only exercise
     // the recency/eviction mechanics with uninitialized vs initialized
     // cells; integration tests cover real planes end to end.
     #[test]
     fn uninitialized_cells_are_never_evicted() {
         let cache = LruPlaneCache::new(1);
-        let (_a, ev) = cache.touch(&key(0));
+        let (_a, ev) = cache.touch(0);
         assert!(ev.is_empty());
-        let (_b, ev) = cache.touch(&key(1));
+        let (_b, ev) = cache.touch(1);
         // Neither cell is initialized: overshoot, no eviction.
         assert!(ev.is_empty());
         assert_eq!(cache.len(), 2);
@@ -118,8 +112,8 @@ mod tests {
     #[test]
     fn same_key_returns_same_cell() {
         let cache = LruPlaneCache::new(2);
-        let (a1, _) = cache.touch(&key(0));
-        let (a2, _) = cache.touch(&key(0));
+        let (a1, _) = cache.touch(0);
+        let (a2, _) = cache.touch(0);
         assert!(Arc::ptr_eq(&a1, &a2));
         assert_eq!(cache.len(), 1);
     }

@@ -330,8 +330,9 @@ impl SessionHandle {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Session`] when every booked query already ran or
-    /// a mid-session flight is malformed.
+    /// [`ClientError::Session`] when every booked query already ran, a
+    /// mid-session flight is malformed, or the offline producer ended
+    /// before delivering this query's bundle.
     pub fn infer(&mut self, tokens: &[usize]) -> Result<Prediction, ClientError> {
         if self.remaining() == 0 {
             return Err(ClientError::Session(format!(

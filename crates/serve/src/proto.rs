@@ -75,6 +75,8 @@ pub enum ProtoError {
     },
     /// An enum code outside the known range.
     BadCode(u8),
+    /// Fields that each decode but contradict one another.
+    Inconsistent(&'static str),
     /// The server rejected the hello; the payload explains why.
     Rejected(String),
     /// The server is at capacity and shed this session (admission
@@ -96,6 +98,7 @@ impl std::fmt::Display for ProtoError {
                 write!(f, "protocol version mismatch (ours {PROTOCOL_VERSION}, theirs {theirs})")
             }
             ProtoError::BadCode(c) => write!(f, "unknown enum code {c}"),
+            ProtoError::Inconsistent(what) => write!(f, "inconsistent fields: {what}"),
             ProtoError::Rejected(msg) => write!(f, "server rejected session: {msg}"),
             ProtoError::Busy { active, cap } => {
                 write!(f, "server busy ({active}/{cap} workers), session shed — retry later")

@@ -174,7 +174,7 @@ impl ServerBuilder {
             for entry in std::fs::read_dir(dir)? {
                 let entry = entry?;
                 if let Some(token) = entry.file_name().to_str().and_then(parse_file_name) {
-                    first_id = first_id.max(token + 1);
+                    first_id = first_id.max(token.saturating_add(1));
                 }
             }
         }
@@ -223,8 +223,9 @@ struct ServerShared {
     /// Suspended sessions resumed.
     resumed: Arc<primer_obs::Counter>,
     /// Session ids. Starts above every token parked in the suspend
-    /// directory, and resuming a token bumps it past that token, so a
-    /// fresh session can never collide with a parked one.
+    /// directory, and every session parked later holds an id this
+    /// counter already issued, so a fresh session can never collide
+    /// with a parked one.
     next_session_id: AtomicU64,
 }
 
@@ -479,11 +480,12 @@ impl<'a> EventLoop<'a> {
     fn admit(&mut self, nb: NbConn, hello: ClientHello) -> io::Result<()> {
         let (stream, leftover) = nb.into_blocking()?;
         let conn = TcpConnection::from_stream_with_preface(stream, false, leftover)?;
+        // A resume token is peer-chosen and not yet validated, so it
+        // never moves the id counter: bind already started the counter
+        // above every token parked on disk, which are the only tokens
+        // that can resume.
         let id = match hello.resume {
-            Some(token) => {
-                self.shared.next_session_id.fetch_max(token + 1, Ordering::Relaxed);
-                token
-            }
+            Some(token) => token,
             None => self.shared.next_session_id.fetch_add(1, Ordering::Relaxed),
         };
         let shared = Arc::clone(self.shared);
@@ -610,16 +612,15 @@ struct SessionChannels {
 fn circuits_and_plane(
     shared: &ServerShared,
     variant: ProtocolVariant,
-) -> (Arc<Vec<Circuit>>, Arc<ModelPlane>, String) {
+) -> (Arc<Vec<Circuit>>, Arc<ModelPlane>) {
+    let key = crate::proto::variant_code(variant);
     let circuits = {
         let mut cache = shared.circuits.lock().expect("circuit cache mutex poisoned");
-        Arc::clone(cache.entry(crate::proto::variant_code(variant)).or_insert_with(|| {
+        Arc::clone(cache.entry(key).or_insert_with(|| {
             Arc::new(build_session_circuits(&shared.sys, variant, &shared.fixed))
         }))
     };
-    let fp = primer_core::costmodel::layout::fingerprint(&shared.sys, variant);
-    let key = (crate::proto::variant_code(variant), fp.clone());
-    let (cell, evicted) = shared.planes.touch(&key);
+    let (cell, evicted) = shared.planes.touch(key);
     for plane in evicted {
         shared.registry.record_plane_evicted(plane.mask_bytes());
     }
@@ -634,7 +635,7 @@ fn circuits_and_plane(
     if !built {
         shared.registry.record_plane_reused();
     }
-    (circuits, Arc::clone(plane), fp)
+    (circuits, Arc::clone(plane))
 }
 
 /// Running totals a serving loop accumulates (and a resumed session
@@ -650,7 +651,6 @@ struct ServeProgress {
 /// an image.
 struct SuspendCtx {
     garbled: bool,
-    fingerprint: String,
     pool: u32,
 }
 
@@ -750,7 +750,7 @@ fn run_fresh(
 ) -> Result<SessionOutcome, ServeError> {
     let SessionChannels { online_t, offline_t, control } = channels;
     let obs = shared.registry.obs();
-    let (circuits, plane, fingerprint) = circuits_and_plane(shared, hello.variant);
+    let (circuits, plane) = circuits_and_plane(shared, hello.variant);
 
     // Per-session server randomness: a distinct stream per session id.
     let session_seed = shared.config.seed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -801,11 +801,7 @@ fn run_fresh(
         served: 0,
         booked: queries as u64,
     };
-    let ctx = SuspendCtx {
-        garbled: matches!(hello.mode, GcMode::Garbled),
-        fingerprint,
-        pool: pool as u32,
-    };
+    let ctx = SuspendCtx { garbled: matches!(hello.mode, GcMode::Garbled), pool: pool as u32 };
     let end = serve_queries(
         shared,
         live,
@@ -852,8 +848,10 @@ fn resume_session(
         Ok(parsed) => parsed,
         Err(e) => return fail(&*control, format!("corrupt suspend image: {e}")),
     };
+    // `decode_file` guarantees `served <= booked`.
     let remaining = header.booked - header.served;
-    let fingerprint = primer_core::costmodel::layout::fingerprint(&shared.sys, header.variant);
+    // The model, profile and variant are every input of the layout
+    // plan, so matching them also proves the plan is unchanged.
     let mismatch = if header.session_id != token {
         Some("token does not match the image")
     } else if header.model != shared.config.model
@@ -861,8 +859,6 @@ fn resume_session(
         || header.weight_seed != shared.config.weight_seed
     {
         Some("server model/profile changed since suspension")
-    } else if header.fingerprint != fingerprint {
-        Some("layout plan changed since suspension")
     } else if hello.variant != header.variant {
         Some("hello variant does not match the suspended session")
     } else if !matches!(hello.mode, GcMode::Simulated) {
@@ -908,7 +904,7 @@ fn resume_session(
     live.watch_channel("control", Arc::clone(control.meter()));
     shared.resumed.inc();
 
-    let (circuits, plane, _) = circuits_and_plane(shared, header.variant);
+    let (circuits, plane) = circuits_and_plane(shared, header.variant);
     let mut online = image
         .into_online(shared.sys.clone(), circuits, plane)
         .map_err(|e| ServeError::Suspend { session: token, detail: e.to_string() })?;
@@ -931,7 +927,7 @@ fn resume_session(
         served: header.served,
         booked: header.booked,
     };
-    let ctx = SuspendCtx { garbled: false, fingerprint: header.fingerprint.clone(), pool: header.pool };
+    let ctx = SuspendCtx { garbled: false, pool: header.pool };
     let result = serve_queries(
         shared,
         &live,
@@ -1061,7 +1057,6 @@ fn suspend_to_disk(
         profile: shared.config.profile,
         weight_seed: shared.config.weight_seed,
         model: shared.config.model.clone(),
-        fingerprint: ctx.fingerprint.clone(),
         variant: live.variant,
         pool: ctx.pool,
         booked: progress.booked,

@@ -3,16 +3,18 @@
 //! A suspend file is the serving-layer envelope around the engine's
 //! [`primer_core::ServerSuspendImage`]: the header pins everything the
 //! server must re-validate at resume (model identity, numeric profile,
-//! layout fingerprint, negotiated pool, progress), followed by the raw
-//! core image bytes (keys + unconsumed offline bundles).
+//! variant, negotiated pool, progress), followed by the raw core image
+//! bytes (keys + unconsumed offline bundles). The layout plan needs no
+//! field of its own: it is a pure function of model, profile and
+//! variant.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! [magic "PRSP"] [version u32 = 1]
+//! [magic "PRSP"] [version u32 = 2]
 //! [session_id u64] [profile u8] [weight_seed u64]
 //! [model: name string, 7 dims u32]
-//! [layout fingerprint string] [variant u8] [pool u32]
+//! [variant u8] [pool u32]
 //! [booked u64] [served u64]
 //! [offline PhaseCost: ns/bytes/msgs u64 ×3]
 //! [online  PhaseCost: ns/bytes/msgs u64 ×3]
@@ -37,7 +39,7 @@ use std::time::Duration;
 pub(crate) const FILE_MAGIC: [u8; 4] = *b"PRSP";
 
 /// Version of the envelope (the core image carries its own version).
-pub(crate) const FILE_VERSION: u32 = 1;
+pub(crate) const FILE_VERSION: u32 = 2;
 
 /// Everything the resume path re-validates before touching the image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,10 +48,6 @@ pub(crate) struct SuspendHeader {
     pub profile: Profile,
     pub weight_seed: u64,
     pub model: TransformerConfig,
-    /// Layout-plan fingerprint the session's plane was built under; a
-    /// `PRIMER_LAYOUT` change between suspend and resume is a config
-    /// mismatch, not a silently different wire schedule.
-    pub fingerprint: String,
     pub variant: ProtocolVariant,
     /// The pool negotiated at the original handshake (production batch
     /// size shapes the wire schedule — it is not renegotiated).
@@ -93,7 +91,6 @@ pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
     for dim in [m.vocab, m.n_blocks, m.d_model, m.n_heads, m.n_tokens, m.d_ff, m.n_classes] {
         put_u32(&mut out, dim as u32);
     }
-    put_string(&mut out, &header.fingerprint);
     out.push(crate::proto::variant_code(header.variant));
     put_u32(&mut out, header.pool);
     put_u64(&mut out, header.booked);
@@ -117,8 +114,8 @@ pub(crate) fn encode_file(header: &SuspendHeader, image: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`ProtoError`] on bad magic, an unknown envelope version, or
-/// truncation.
+/// [`ProtoError`] on bad magic, an unknown envelope version,
+/// truncation, or more queries served than booked.
 pub(crate) fn decode_file(bytes: &[u8]) -> Result<(SuspendHeader, Vec<u8>), ProtoError> {
     let mut c = Cursor::new(bytes);
     let mut magic = [0u8; 4];
@@ -140,11 +137,13 @@ pub(crate) fn decode_file(bytes: &[u8]) -> Result<(SuspendHeader, Vec<u8>), Prot
     }
     let [vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes] = dims;
     let model = TransformerConfig { name, vocab, n_blocks, d_model, n_heads, n_tokens, d_ff, n_classes };
-    let fingerprint = c.string()?;
     let variant = crate::proto::variant_from_code(c.u8()?)?;
     let pool = c.u32()?;
     let booked = c.u64()?;
     let served = c.u64()?;
+    if served > booked {
+        return Err(ProtoError::Inconsistent("suspend header served more queries than it booked"));
+    }
     let offline = get_phase_cost(&mut c)?;
     let online = get_phase_cost(&mut c)?;
     let traffic = TrafficSnapshot {
@@ -161,7 +160,6 @@ pub(crate) fn decode_file(bytes: &[u8]) -> Result<(SuspendHeader, Vec<u8>), Prot
             profile,
             weight_seed,
             model,
-            fingerprint,
             variant,
             pool,
             booked,
@@ -195,7 +193,6 @@ mod tests {
             profile: Profile::Test,
             weight_seed: 7,
             model: TransformerConfig::test_tiny(),
-            fingerprint: "qkv:d/ff:d".into(),
             variant: ProtocolVariant::Fpc,
             pool: 2,
             booked: 4,
@@ -229,6 +226,18 @@ mod tests {
         let mut bytes2 = encode_file(&header(), b"img");
         bytes2[4] = 99;
         assert!(matches!(decode_file(&bytes2), Err(ProtoError::VersionMismatch { theirs: 99 })));
+        // Version-1 images (which carried a layout field) are refused.
+        bytes2[4] = 1;
+        assert!(matches!(decode_file(&bytes2), Err(ProtoError::VersionMismatch { theirs: 1 })));
+    }
+
+    #[test]
+    fn served_beyond_booked_is_refused() {
+        let h = SuspendHeader { served: 5, ..header() };
+        let bytes = encode_file(&h, b"img");
+        assert!(matches!(decode_file(&bytes), Err(ProtoError::Inconsistent(_))));
+        let h = SuspendHeader { served: 4, ..header() };
+        assert!(decode_file(&encode_file(&h, b"img")).is_ok(), "served == booked is a finished session");
     }
 
     #[test]

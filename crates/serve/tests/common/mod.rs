@@ -3,7 +3,8 @@
 use primer_core::{Engine, GcMode, ProtocolVariant, SystemConfig};
 use primer_math::rng::seeded;
 use primer_nn::{FixedTransformer, TransformerConfig, TransformerWeights};
-use primer_serve::{ServerBuilder, ServerConfig, ServerStats};
+use primer_net::{TcpConnection, Transport};
+use primer_serve::{ServerBuilder, ServerConfig, ServerStats, CH_CONTROL};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
@@ -61,4 +62,14 @@ pub fn reference_engine(
     // The engine seed drives masks/keys only; the protocol reconstructs
     // exact values regardless, so any seed yields the same logits.
     Engine::new(sys, variant, fixed, mode, 0xe16)
+}
+
+/// Sends `frame` as a connection's first control frame and returns the
+/// server's one-frame answer.
+#[allow(dead_code)]
+pub fn first_frame_exchange(addr: SocketAddr, frame: &[u8]) -> Vec<u8> {
+    let mut conn = TcpConnection::connect(addr).expect("connect");
+    let control = conn.take_channel(CH_CONTROL);
+    control.send(frame);
+    control.recv()
 }

@@ -6,15 +6,13 @@
 
 mod common;
 
-use common::start_server;
+use common::{first_frame_exchange, start_server};
 use primer_core::{GcMode, ProtocolVariant};
-use primer_net::{TcpConnection, Transport};
 use primer_nn::TransformerConfig;
 use primer_serve::{
     poll_stats, ClientBuilder, ClientHello, ProtoError, ServerWelcome, SessionState, StatsRequest,
-    StatsSnapshot, CH_CONTROL,
+    StatsSnapshot,
 };
-use std::net::SocketAddr;
 
 /// The full poll lifecycle against a bounded server: an empty snapshot
 /// before any session, then a populated one after a completed session —
@@ -115,15 +113,6 @@ fn stats_polls_answer_mid_run_without_consuming_sessions() {
     assert_eq!(stats.sessions().len(), 2, "exactly the two real sessions were served");
     assert_eq!(stats.prepared().built, 1);
     assert_eq!(stats.prepared().reused, 1, "session B reused session A's plane");
-}
-
-/// Sends `frame` as a connection's first control frame and returns the
-/// server's one-frame answer.
-fn first_frame_exchange(addr: SocketAddr, frame: &[u8]) -> Vec<u8> {
-    let mut conn = TcpConnection::connect(addr).expect("connect");
-    let control = conn.take_channel(CH_CONTROL);
-    control.send(frame);
-    control.recv()
 }
 
 /// Overwrites the protocol version a control frame carries after its

@@ -6,10 +6,12 @@
 
 mod common;
 
-use common::{reference_engine, start_server_with};
+use common::{first_frame_exchange, reference_engine, start_server_with};
 use primer_core::{GcMode, ProtocolVariant};
 use primer_nn::TransformerConfig;
-use primer_serve::ClientBuilder;
+use primer_serve::{
+    poll_stats, ClientBuilder, ClientError, ClientHello, ProtoError, ServerWelcome,
+};
 use std::path::PathBuf;
 
 /// A fresh per-test suspend directory under the OS temp dir.
@@ -156,5 +158,78 @@ fn garbled_sessions_refuse_to_suspend() {
     // The dropped handle fails its session, which concludes the budget.
     let stats = server.join().expect("server thread");
     assert_eq!(stats.sessions().len(), 0, "the failed session left no completed record");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A parked image whose header claims more queries served than booked
+/// (an edited or torn file) is refused at resume with a typed reject,
+/// not an arithmetic underflow in the worker, and stays on disk.
+#[test]
+fn image_with_served_beyond_booked_is_refused() {
+    let dir = suspend_dir("served");
+    let (addr, server) = start_server_with(TransformerConfig::test_tiny(), 1, {
+        let dir = dir.clone();
+        move |c| c.suspend_dir = Some(dir)
+    });
+    let mut handle = ClientBuilder::new(ProtocolVariant::F).open(addr, 3).expect("open");
+    handle.infer(&[3, 17, 0, 29]).expect("query 0");
+    let parked = handle.suspend().expect("suspend");
+    let path = dir.join(format!("session-{}.suspend", parked.token()));
+
+    // The header stores `booked` (3) then `served` (1) as adjacent
+    // little-endian u64s; claim 4 served.
+    let mut bytes = std::fs::read(&path).expect("parked image");
+    let progress: Vec<u8> = [3u64, 1].iter().flat_map(|v| v.to_le_bytes()).collect();
+    let at = bytes.windows(16).position(|w| w == progress).expect("progress fields");
+    bytes[at + 8..at + 16].copy_from_slice(&4u64.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("patch image");
+
+    match parked.resume(addr) {
+        Err(ClientError::Proto(ProtoError::Rejected(reason))) => {
+            assert!(reason.contains("corrupt suspend image"), "{reason}")
+        }
+        Err(e) => panic!("expected a typed reject, got {e}"),
+        Ok(_) => panic!("resumed an image that served more than it booked"),
+    }
+    assert!(path.exists(), "a refused image is not consumed");
+    // The refused resume concludes the one-session budget.
+    let stats = server.join().expect("server thread");
+    assert!(stats.sessions().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resume tokens are peer-chosen. Forged tokens at the top of the id
+/// space get the typed "unknown resume token" reject, leave the event
+/// loop alive (`/stats` still answers), and do not move the session-id
+/// counter: the next fresh session is still session 0.
+#[test]
+fn forged_resume_tokens_leave_session_ids_alone() {
+    let dir = suspend_dir("forged");
+    let (addr, server) = start_server_with(TransformerConfig::test_tiny(), 3, {
+        let dir = dir.clone();
+        move |c| c.suspend_dir = Some(dir)
+    });
+    for token in [u64::MAX, u64::MAX - 1] {
+        let hello = ClientHello {
+            variant: ProtocolVariant::F,
+            mode: GcMode::Simulated,
+            queries: 1,
+            pool: 1,
+            resume: Some(token),
+        };
+        match ServerWelcome::decode(&first_frame_exchange(addr, &hello.encode())) {
+            Err(ProtoError::Rejected(reason)) => {
+                assert!(reason.contains("unknown resume token"), "token {token}: {reason}")
+            }
+            other => panic!("token {token}: expected a typed reject, got {other:?}"),
+        }
+    }
+    poll_stats(addr).expect("the event loop still answers /stats");
+    let outcome = ClientBuilder::new(ProtocolVariant::F)
+        .run(addr, &[vec![3, 17, 0, 29]])
+        .expect("fresh session");
+    assert_eq!(outcome.session_id, 0, "forged tokens must not advance session ids");
+    let stats = server.join().expect("server thread");
+    assert_eq!(stats.sessions().len(), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,21 +1,23 @@
-//! Layout-policy equivalence: every `PRIMER_LAYOUT` policy (`auto`,
-//! `output`, `input`, `zerorot`) must produce logits **bit-identical**
-//! to the plaintext fixed-point reference, for every protocol variant —
-//! a layout is a performance choice, never a semantics choice. The
-//! sweep runs full client/server sessions so each policy exercises its
-//! own Galois key plan, prepared plane, and FHGS triple packing
-//! end-to-end over the wire.
+//! Layout equivalence over an input sweep: the layout selector is a
+//! pure function of `(model, profile, variant)`, and every arm it can
+//! pick must produce logits **bit-identical** to the plaintext
+//! fixed-point reference — a layout is a performance choice, never a
+//! semantics choice. The sweep runs full client/server sessions on
+//! inputs that between them take all five arms (tokens-first output
+//! and input chains, feature-based output chains, diagonal and
+//! zero-rotation FHGS), so each arm exercises its own Galois key plan,
+//! prepared plane and FHGS triple packing end-to-end over the wire.
 //!
 //! The suite also validates the noise gate the selector relies on:
 //! on every parameter profile where [`input_mode_noise_safe`] approves
 //! the input-rotation chain, the **measured** post-matmul noise of a
 //! real encrypted matmul stays at or below the analytic worst-case
 //! bound the gate compared against the budget.
-//!
-//! Everything runs in ONE `#[test]` because `PRIMER_LAYOUT` is
-//! process-global state; integration-test files get their own process.
 
-use primer_core::costmodel::layout::input_mode_noise_safe;
+use primer_core::costmodel::layout::{
+    chain_mode, chain_shapes, fhgs_mode, fhgs_shapes, input_mode_noise_safe,
+};
+use primer_core::fhgs::FhgsMode;
 use primer_core::packing::{
     decrypt_matrix, encrypt_matrix, matmul_weights, tf_chain_terms_max, tf_input_steps,
     MatmulWeights, RotationMode,
@@ -31,15 +33,51 @@ use primer_math::rng::seeded;
 use primer_math::{MatZ, Ring};
 use primer_net::MemTransport;
 use primer_nn::{FixedTransformer, TransformerConfig, TransformerWeights};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// One full session under the current `PRIMER_LAYOUT`, returning the
+/// One selector arm, as the sweep records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Arm {
+    TokensFirstOutput,
+    TokensFirstInput,
+    FeatureBasedOutput,
+    DiagonalFhgs,
+    ZeroRotationFhgs,
+}
+
+/// Every arm the selector takes for one session.
+fn arms(sys: &SystemConfig, variant: ProtocolVariant) -> BTreeSet<Arm> {
+    let params = sys.he.params();
+    let packing = variant.packing();
+    let mut taken = BTreeSet::new();
+    for (rows, in_cols, out_cols) in chain_shapes(sys, variant) {
+        taken.insert(match (packing, chain_mode(params, packing, rows, in_cols, out_cols)) {
+            (Packing::TokensFirst, RotationMode::Output) => Arm::TokensFirstOutput,
+            (Packing::TokensFirst, RotationMode::Input) => Arm::TokensFirstInput,
+            (Packing::FeatureBased, RotationMode::Output) => Arm::FeatureBasedOutput,
+            (Packing::FeatureBased, RotationMode::Input) => {
+                panic!("feature-based chains never rotate inputs")
+            }
+        });
+    }
+    if variant.has_offline_phase() {
+        for dims in fhgs_shapes(sys) {
+            taken.insert(match fhgs_mode(params, packing, dims) {
+                FhgsMode::Diagonal(_) => Arm::DiagonalFhgs,
+                FhgsMode::ZeroRotation => Arm::ZeroRotationFhgs,
+            });
+        }
+    }
+    taken
+}
+
+/// One full session on `cfg` under the test profile, returning the
 /// logits for one query.
-fn run_session(variant: ProtocolVariant, tokens: &[usize]) -> Vec<i64> {
-    let cfg = TransformerConfig::test_tiny();
-    let sys = SystemConfig::test_profile(&cfg).expect("profile");
-    let weights = TransformerWeights::random(&cfg, &mut seeded(800));
-    let fixed = Arc::new(FixedTransformer::quantize(&cfg, &weights, sys.pipeline));
+fn run_session(cfg: &TransformerConfig, variant: ProtocolVariant, tokens: &[usize]) -> Vec<i64> {
+    let sys = SystemConfig::test_profile(cfg).expect("profile");
+    let weights = TransformerWeights::random(cfg, &mut seeded(800));
+    let fixed = Arc::new(FixedTransformer::quantize(cfg, &weights, sys.pipeline));
     let circuits = Arc::new(build_session_circuits(&sys, variant, &fixed));
     let (total, pool) = (1, 1);
 
@@ -69,11 +107,10 @@ fn run_session(variant: ProtocolVariant, tokens: &[usize]) -> Vec<i64> {
     logits
 }
 
-fn reference_logits(variant: ProtocolVariant, tokens: &[usize]) -> Vec<i64> {
-    let cfg = TransformerConfig::test_tiny();
-    let sys = SystemConfig::test_profile(&cfg).expect("profile");
-    let weights = TransformerWeights::random(&cfg, &mut seeded(800));
-    let fixed = FixedTransformer::quantize(&cfg, &weights, sys.pipeline);
+fn reference_logits(cfg: &TransformerConfig, variant: ProtocolVariant, tokens: &[usize]) -> Vec<i64> {
+    let sys = SystemConfig::test_profile(cfg).expect("profile");
+    let weights = TransformerWeights::random(cfg, &mut seeded(800));
+    let fixed = FixedTransformer::quantize(cfg, &weights, sys.pipeline);
     if matches!(variant, ProtocolVariant::Fpc) {
         fixed.logits_combined(tokens)
     } else {
@@ -127,22 +164,35 @@ fn measure_input_chain(params: &HeParams) -> f64 {
 }
 
 #[test]
-fn every_layout_policy_is_reference_exact_and_the_noise_gate_is_sound() {
-    assert!(std::env::var("PRIMER_LAYOUT").is_err(), "env leaked into test");
-    let tokens = vec![3usize, 17, 0, 29];
+fn every_selected_layout_is_reference_exact_and_the_noise_gate_is_sound() {
+    // Part 1: the input sweep. test-tiny takes the tokens-first input
+    // chains, feature-based output chains and zero-rotation FHGS;
+    // layout-mix (32 tokens: wider FHGS products, and chains where
+    // input rotation does not pay) takes tokens-first output chains and
+    // diagonal FHGS. All must agree bit-exactly with the reference.
+    let tiny = TransformerConfig::test_tiny();
+    let mix = TransformerConfig::new("layout-mix", 32, 1, 32, 1, 32, 3);
+    let mix_tokens: Vec<usize> = (0..mix.n_tokens).map(|i| (i * 7 + 3) % mix.vocab).collect();
+    let mut sweep: Vec<(&TransformerConfig, ProtocolVariant, Vec<usize>)> =
+        ProtocolVariant::all().into_iter().map(|v| (&tiny, v, vec![3, 17, 0, 29])).collect();
+    sweep.extend([ProtocolVariant::Fp, ProtocolVariant::Fpc].map(|v| (&mix, v, mix_tokens.clone())));
 
-    // Part 1: the policy × variant sweep. `auto` may mix modes per
-    // matrix; the forced policies pin every selectable choice to one
-    // layout. All must agree bit-exactly with the plaintext reference.
-    for policy in ["auto", "output", "input", "zerorot"] {
-        std::env::set_var("PRIMER_LAYOUT", policy);
-        for variant in ProtocolVariant::all() {
-            let got = run_session(variant, &tokens);
-            let want = reference_logits(variant, &tokens);
-            assert_eq!(got, want, "layout {policy} diverged on {}", variant.name());
-        }
+    let mut taken = BTreeSet::new();
+    for (cfg, variant, tokens) in &sweep {
+        let sys = SystemConfig::test_profile(cfg).expect("profile");
+        taken.extend(arms(&sys, *variant));
+        let got = run_session(cfg, *variant, tokens);
+        let want = reference_logits(cfg, *variant, tokens);
+        assert_eq!(got, want, "{} diverged on {}", variant.name(), cfg.name);
     }
-    std::env::remove_var("PRIMER_LAYOUT");
+    let every_arm = BTreeSet::from([
+        Arm::TokensFirstOutput,
+        Arm::TokensFirstInput,
+        Arm::FeatureBasedOutput,
+        Arm::DiagonalFhgs,
+        Arm::ZeroRotationFhgs,
+    ]);
+    assert_eq!(taken, every_arm, "the sweep must take every selector arm");
 
     // Part 2: the gate itself. Wherever the model approves the
     // input-rotation chain, real ciphertexts must obey the bound it
